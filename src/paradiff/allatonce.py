@@ -16,16 +16,23 @@ The alpha-coupling to the last substep and the lagged w-terms are refreshed
 by waveform relaxation: alternate the all-at-once u-solve with a sequential
 w-sweep until the iterates stop moving. At the fixed point the pair
 reproduces the sequential partially explicit scheme on the same substep
-grid exactly.
+grid exactly. The w-sweep runs in the eigenbasis of the pencil (A22, M22),
+where its recurrence is elementwise.
+
+Several intervals are solved together on stacked (n, M, d) arrays. Every
+kernel treats each interval on its own (one BLAS call per interval, FFTs
+along the substep axis, elementwise recurrences), so an interval gets the
+same bits whatever it is batched with.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import eigh
 
 from .msbasis import CoarseSystem
 from .stepping import ConstantLoads, SplitState, SplitTrajectory
@@ -92,9 +99,10 @@ class ImplicitAllAtOnce:
     """Solver for (B kron M11 + I kron A11) U = F via the diagonalization.
 
     The M shifted matrices d_k M11 + A11 are inverted once at construction;
-    every solve is then two FFTs and one batched matrix-vector product. The
-    back-substituted residual of the full system and the discarded imaginary
-    residue are tracked as conditioning guards.
+    every solve is then two FFTs and one matrix-vector product per substep.
+    The back-substituted residual of the full system and the discarded
+    imaginary residue are kept per right-hand side as conditioning guards;
+    WaveformRelaxation reports them.
     """
 
     def __init__(self, system: CoarseSystem, substeps: int, dt: float, alpha: float):
@@ -106,30 +114,33 @@ class ImplicitAllAtOnce:
             self.inv_shifted = np.linalg.inv(shifted)
         else:
             self.inv_shifted = np.zeros((substeps, 0, 0), dtype=complex)
-        self.last_residual = 0.0
-        self.last_imag_residue = 0.0
+        self.last_residual = np.zeros(())
+        self.last_imag_residue = np.zeros(())
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """rhs has one row per substep, shape (M, d1)."""
+        """rhs has one row per substep, shape (M, d1), or is a stack (n, M, d1).
+
+        last_residual and last_imag_residue then have shape () or (n,).
+        """
         tm = self.time_matrix
         if self.system.d1 == 0:
-            return np.zeros((tm.substeps, 0))
-        p = apply_S_inverse(rhs, tm.alpha)
-        q = np.einsum("kij,kj->ki", self.inv_shifted, p)
-        u_c = apply_S(q, tm.alpha)
-        scale = max(np.abs(u_c).max(), 1e-300)
-        self.last_imag_residue = float(np.abs(u_c.imag).max() / scale)
-        if self.last_imag_residue > 1e-9:
-            log.warning("imaginary residue %.3e above 1e-9", self.last_imag_residue)
-        u = u_c.real
+            self.last_residual = self.last_imag_residue = np.zeros(rhs.shape[:-2])
+            return np.zeros(rhs.shape)
+        # substeps on axis 0 for the transforms; one product per (substep, interval)
+        p = apply_S_inverse(np.moveaxis(rhs, -2, 0), tm.alpha)
+        inv = self.inv_shifted.reshape((tm.substeps,) + (1,) * (p.ndim - 2) + self.inv_shifted.shape[1:])
+        q = (inv @ p[..., None])[..., 0]
+        u_c = np.moveaxis(apply_S(q, tm.alpha), 0, -2)
+        scale = np.maximum(np.abs(u_c).max(axis=(-2, -1)), 1e-300)
+        self.last_imag_residue = np.abs(u_c.imag).max(axis=(-2, -1)) / scale
+        u = np.ascontiguousarray(u_c.real)
         bu = np.empty_like(u)
-        bu[0] = (u[0] - tm.alpha * u[-1]) / tm.dt
-        bu[1:] = (u[1:] - u[:-1]) / tm.dt
+        bu[..., 0, :] = (u[..., 0, :] - tm.alpha * u[..., -1, :]) / tm.dt
+        bu[..., 1:, :] = (u[..., 1:, :] - u[..., :-1, :]) / tm.dt
         res = bu @ self.system.M11 + u @ self.system.A11 - rhs
-        self.last_residual = float(
-            np.linalg.norm(res) / max(np.linalg.norm(rhs), 1e-300)
+        self.last_residual = np.linalg.norm(res, axis=(-2, -1)) / np.maximum(
+            np.linalg.norm(rhs, axis=(-2, -1)), 1e-300
         )
-        log.debug("all-at-once residual %.3e", self.last_residual)
         return u
 
 
@@ -149,12 +160,15 @@ def build_rhs(
     Row s carries the load plus the lagged w-terms of the previous waveform
     iterate, f1^s - M12 (w_{s-1} - w_{s-2})/dt - A12 w_{s-1}; the first row
     adds M11 (u_0 - alpha u_M^{prev})/dt. The interval's initial w supplies
-    w_0 and its lag w_{-1} = w_0.
+    w_0 and its lag w_{-1} = w_0. Rows are (M, d) arrays with (d,) start
+    values, or stacks (n, M, d) with (n, d) start values.
     """
-    w_hist = np.vstack([w_lag, w_start, w_rows_prev[:-1]])
-    dw = (w_hist[1:] - w_hist[:-1]) / dt
-    rhs = f1_rows - dw @ system.M12.T - w_hist[1:] @ system.A12.T
-    rhs[0] += system.M11 @ (u_start - alpha * u_final_prev) / dt
+    w_hist = np.concatenate(
+        [w_lag[..., None, :], w_start[..., None, :], w_rows_prev[..., :-1, :]], axis=-2
+    )
+    dw = (w_hist[..., 1:, :] - w_hist[..., :-1, :]) / dt
+    rhs = f1_rows - dw @ system.M12.T - w_hist[..., 1:, :] @ system.A12.T
+    rhs[..., 0, :] += (system.M11 @ (u_start - alpha * u_final_prev)[..., None])[..., 0] / dt
     return rhs
 
 
@@ -169,16 +183,34 @@ class WRResult:
     imag_residue: float = 0.0
 
 
+def _stop_reason(residuals: list[float], tol: float) -> str | None:
+    """Why an iteration with this residual history stops now, or None.
+
+    "tol" at or below tol; "diverged" once the residual is not finite or
+    has grown past 1e8 of its starting value (the iteration does not
+    contract on this window); "floor" when it has not decreased for two
+    sweeps while already within 1e3*tol (stagnation at round-off).
+    """
+    r = residuals[-1]
+    if r <= tol:
+        return "tol"
+    if not np.isfinite(r) or r > 1e8 * max(1.0, residuals[0]):
+        return "diverged"
+    if len(residuals) >= 3 and r >= residuals[-2] >= residuals[-3] and r <= 1e3 * tol:
+        return "floor"
+    return None
+
+
 class WaveformRelaxation:
-    """Alternating u all-at-once / w sweep solver for one coarse interval.
+    """Alternating u all-at-once / w sweep solver over coarse intervals.
 
     Seeds: the w iterate is the constant extension of the interval's initial
-    w, the previous final u equals the initial u. Stops when the combined
-    max-over-substeps update drops below tol, when it stagnates at the
-    round-off floor (two consecutive non-decreasing residuals already within
-    1e3*tol), or flagged non-converged at max_iter. A residual growing past
-    1e8 of its starting value aborts the loop early (stop_reason
-    "diverged"): the iteration does not contract on this window.
+    w, the previous final u equals the initial u. Each interval stops by
+    `_stop_reason` on its combined max-over-substeps update, or flagged
+    non-converged at max_iter. `solve_many` iterates a batch of intervals
+    on stacked arrays; an interval that stops is frozen and leaves the
+    batch, so its sweeps and bits are those of solving it alone, which is
+    what `solve` does (a batch of one).
     """
 
     def __init__(
@@ -200,101 +232,123 @@ class WaveformRelaxation:
         self.tol = tol
         self.max_iter = max_iter
         self.implicit = ImplicitAllAtOnce(system, substeps, self.dt, alpha)
-        if system.d2:
-            m22 = cho_factor(system.M22)
-            self.m22_inv = cho_solve(m22, np.eye(system.d2))
-            # w_s = E w_{s-1} + g_s with E folding the explicit stiffness
-            self.e_mat = np.eye(system.d2) - self.dt * self.m22_inv @ system.A22
-        else:
-            self.m22_inv = np.zeros((0, 0))
-            self.e_mat = np.zeros((0, 0))
+        # w = V z with A22 V = M22 V diag(lam) and V^T M22 V = I turns the
+        # explicit step w_s = (I - dt M22^{-1} A22) w_{s-1} + dt M22^{-1} r_s
+        # into z_s = mu * z_{s-1} + dt V^T r_s, elementwise, mu = 1 - dt lam
+        lam, self.modes = eigh(system.A22, system.M22) if system.d2 else (np.zeros(0), np.zeros((0, 0)))
+        self.mu = 1.0 - self.dt * lam
+        self._to_modes = system.M22 @ self.modes  # z = w M22 V for row vectors
+        self._m12_modes = system.M12 @ self.modes
+        self._a12_modes = system.A12 @ self.modes
 
-    def _load_rows(self, t0: float) -> tuple[np.ndarray, np.ndarray]:
-        times = t0 + self.dt * np.arange(1, self.substeps + 1)
+    def _load_rows(self, t0: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+        """Loads at substeps 1..M of each interval, shapes (n, M, d1) and (n, M, d2)."""
+        shape = (len(t0), self.substeps)
         if getattr(self.loads, "constant", False):
-            f1, f2 = self.loads.at(t0)
-            return np.tile(f1, (self.substeps, 1)), np.tile(f2, (self.substeps, 1))
-        pairs = [self.loads.at(t) for t in times]
-        return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+            f1, f2 = self.loads.at(t0[0])
+            return np.broadcast_to(f1, shape + f1.shape).copy(), np.broadcast_to(f2, shape + f2.shape).copy()
+        offsets = self.dt * np.arange(1, self.substeps + 1)
+        pairs = [self.loads.at(t) for t0_n in t0 for t in t0_n + offsets]
+        f1 = np.array([p[0] for p in pairs]).reshape(shape + (self.system.d1,))
+        f2 = np.array([p[1] for p in pairs]).reshape(shape + (self.system.d2,))
+        return f1, f2
 
-    def _w_sweep(self, u_rows, u_start, u_lag, w_start, f2_rows):
-        s = self.system
-        u_hist = np.vstack([u_lag, u_start, u_rows[:-1]])
-        du = (u_hist[1:] - u_hist[:-1]) / self.dt
-        g = self.dt * (f2_rows - du @ s.M12 - u_rows @ s.A12) @ self.m22_inv
-        w_rows = np.empty((self.substeps, s.d2))
-        w = w_start
+    def _w_sweep(self, u_rows, u_start, z_start, f2_modes):
+        """w rows of the explicit w-step driven by u rows, run on the modes."""
+        u_hist = np.concatenate([u_start[:, None], u_start[:, None], u_rows[:, :-1]], axis=1)
+        du = (u_hist[:, 1:] - u_hist[:, :-1]) / self.dt
+        h = self.dt * (f2_modes - du @ self._m12_modes - u_rows @ self._a12_modes)
+        z = np.empty_like(h)
+        z_s = z_start
         for i in range(self.substeps):
-            w = self.e_mat @ w + g[i]
-            w_rows[i] = w
-        return w_rows
+            z_s = self.mu * z_s + h[:, i]
+            z[:, i] = z_s
+        return z @ self.modes.T
 
     def solve(self, state: SplitState) -> WRResult:
         """Treats state as an interval start: lag values reset to (u, w)."""
-        s = self.system
-        m = self.substeps
-        u0, w0, t0 = state.u, state.w, state.t
-        f1_rows, f2_rows = self._load_rows(t0)
+        return self.solve_many([state])[0]
 
-        u_rows = np.tile(u0, (m, 1))
-        w_rows = np.tile(w0, (m, 1))
-        u_final_prev = u0.copy()
-        residuals: list[float] = []
-        converged, reason, stall, prev = False, "max_iter", 0, np.inf
-        iterations = 0
-        for _ in range(self.max_iter):
-            iterations += 1
-            rhs = build_rhs(s, f1_rows, u0, w0, w0, w_rows, u_final_prev, self.dt, self.alpha)
+    def solve_many(self, states: Sequence[SplitState]) -> list[WRResult]:
+        """Solve the intervals starting at states together; results in input order.
+
+        Warns once if any interval ends unconverged and once if the
+        imaginary residue of a u-solve exceeded 1e-9.
+        """
+        s, m, n = self.system, self.substeps, len(states)
+        if n == 0:
+            return []
+        u0 = np.array([st.u for st in states]).reshape(n, s.d1)
+        w0 = np.array([st.w for st in states]).reshape(n, s.d2)
+        f1_rows, f2_rows = self._load_rows([st.t for st in states])
+        f2_modes = f2_rows @ self.modes
+        z0 = (w0[:, None] @ self._to_modes)[:, 0]
+        u_rows = np.repeat(u0[:, None], m, axis=1)
+        w_rows = np.repeat(w0[:, None], m, axis=1)
+        active = list(range(n))  # interval of each row of the stacks
+        residuals: list[list[float]] = [[] for _ in range(n)]
+        results: list[WRResult | None] = [None] * n
+        worst_imag = 0.0
+        for sweep in range(1, self.max_iter + 1):
+            rhs = build_rhs(s, f1_rows, u0, w0, w0, w_rows, u_rows[:, -1], self.dt, self.alpha)
             u_new = self.implicit.solve(rhs)
-            w_new = self._w_sweep(u_new, u0, u0, w0, f2_rows)
-            resid = 0.0
-            if s.d1:
-                resid += float(np.linalg.norm(u_new - u_rows, axis=1).max())
-            if s.d2:
-                resid += float(np.linalg.norm(w_new - w_rows, axis=1).max())
-            residuals.append(resid)
+            w_new = self._w_sweep(u_new, u0, z0, f2_modes)
+            resid = np.zeros(len(active))
+            for new, old in ((u_new, u_rows), (w_new, w_rows)):
+                if new.shape[-1]:
+                    resid = resid + np.linalg.norm(new - old, axis=-1).max(axis=-1)
             u_rows, w_rows = u_new, w_new
-            u_final_prev = u_rows[-1] if s.d1 else u0
-            if resid <= self.tol:
-                converged, reason = True, "tol"
-                break
-            if not np.isfinite(resid) or resid > 1e8 * max(1.0, residuals[0]):
-                # runaway iteration (coupling too strong for this window or
-                # substep too close to the stability bound): stop burning
-                # sweeps, the caller sees converged=False
-                reason = "diverged"
-                break
-            stall = stall + 1 if resid >= prev else 0
-            if stall >= 2 and resid <= 1e3 * self.tol:
-                converged, reason = True, "floor"
-                break
-            prev = resid
-        if not converged:
-            log.warning(
-                "waveform relaxation %s after %d iterations (residual %.3e)",
-                "diverged" if reason == "diverged" else "not converged",
-                iterations,
-                residuals[-1],
-            )
+            solver_res, imag = self.implicit.last_residual, self.implicit.last_imag_residue
+            worst_imag = max(worst_imag, float(imag.max()))
+            keep = []
+            for row, (i, r) in enumerate(zip(active, resid.tolist())):
+                residuals[i].append(r)
+                reason = _stop_reason(residuals[i], self.tol)
+                if reason is None and sweep < self.max_iter:
+                    keep.append(row)
+                    continue
+                results[i] = self._result(
+                    states[i], u_rows[row], w_rows[row], residuals[i], reason or "max_iter",
+                    float(solver_res[row]), float(imag[row]),
+                )
+            if len(keep) < len(active):
+                if not keep:
+                    break
+                active = [active[row] for row in keep]
+                u0, w0, z0, f1_rows, f2_modes, u_rows, w_rows = (
+                    a[keep] for a in (u0, w0, z0, f1_rows, f2_modes, u_rows, w_rows)
+                )
 
-        times = t0 + self.dt * np.arange(m + 1)
-        full_u = np.vstack([u0, u_rows])
-        full_w = np.vstack([w0, w_rows])
+        bad = [r for r in results if not r.converged]
+        if bad:
+            hit_max = sum(r.stop_reason == "max_iter" for r in bad)
+            log.warning(
+                "waveform relaxation not converged on %d of %d intervals: %d hit max_iter, "
+                "%d diverged (largest final residual %.3e)",
+                len(bad), n, hit_max, len(bad) - hit_max, max(r.residuals[-1] for r in bad),
+            )
+        if worst_imag > 1e-9:
+            log.warning("all-at-once imaginary residue %.3e above 1e-9", worst_imag)
+        return results
+
+    def _result(self, state, u_rows, w_rows, residuals, reason, solver_residual, imag_residue) -> WRResult:
+        full_u = np.vstack([state.u, u_rows])
+        full_w = np.vstack([state.w, w_rows])
         final = SplitState(
             u=full_u[-1].copy(),
             w=full_w[-1].copy(),
             u_prev=full_u[-2].copy(),
             w_prev=full_w[-2].copy(),
-            t=t0 + self.dt_interval,
+            t=state.t + self.dt_interval,
         )
         return WRResult(
-            trajectory=SplitTrajectory(times, full_u, full_w, final),
+            trajectory=SplitTrajectory(state.t + self.dt * np.arange(self.substeps + 1), full_u, full_w, final),
             residuals=residuals,
-            iterations=iterations,
-            converged=converged,
+            iterations=len(residuals),
+            converged=reason in ("tol", "floor"),
             stop_reason=reason,
-            solver_residual=self.implicit.last_residual,
-            imag_residue=self.implicit.last_imag_residue,
+            solver_residual=solver_residual,
+            imag_residue=imag_residue,
         )
 
 

@@ -70,7 +70,6 @@ class ExperimentConfig:
     epsilon: float = 1e-14
     fine_kind: str = "all-at-once"
     k_max: int = 100
-    workers: int = 1
     basis_workers: int = 1
     compute_reference: bool = True
     export_solution: bool = True
@@ -124,7 +123,22 @@ def load_config(path) -> ExperimentConfig:
     return config_from_parser(parser)
 
 
+def check_options(parser: configparser.ConfigParser) -> None:
+    """Raise ConfigError for any section or option that config_from_parser does not read.
+
+    The known entries are those config_to_parser writes.
+    """
+    known = config_to_parser(ExperimentConfig())
+    for section in parser.sections():
+        if not known.has_section(section):
+            raise ConfigError(f"unknown section [{section}]")
+        for option in parser.options(section):
+            if not known.has_option(section, option):
+                raise ConfigError(f"unknown option {section}.{option}")
+
+
 def config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
+    check_options(parser)
     try:
         cfg = ExperimentConfig()
         if parser.has_section("grid"):
@@ -161,7 +175,6 @@ def config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
             cfg.epsilon = p.getfloat("epsilon", cfg.epsilon)
             cfg.fine_kind = p.get("fine_kind", cfg.fine_kind).strip()
             cfg.k_max = p.getint("k_max", cfg.k_max)
-            cfg.workers = p.getint("workers", cfg.workers)
             cfg.basis_workers = p.getint("basis_workers", cfg.basis_workers)
         if parser.has_section("output"):
             o = parser["output"]
@@ -187,14 +200,14 @@ def config_to_parser(cfg: ExperimentConfig) -> configparser.ConfigParser:
         "contrast": repr(cfg.contrast),
         "channels": "\n" + "\n".join(f"{c[0]}:{c[1]}, {c[2]}:{c[3]}" for c in cfg.channels),
     }
-    src = {"kind": cfg.source_kind, "amplitude": repr(cfg.source_amplitude)}
-    if cfg.source_region is not None:
-        if cfg.source_kind == "point":
-            src["region"] = f"{cfg.source_region[0]}, {cfg.source_region[1]}"
-        else:
-            r = cfg.source_region
-            src["region"] = f"{r[0]}:{r[1]}, {r[2]}:{r[3]}"
-    parser["source"] = src
+    r = cfg.source_region
+    if r is None:
+        region = ""
+    elif cfg.source_kind == "point":
+        region = f"{r[0]}, {r[1]}"
+    else:
+        region = f"{r[0]}:{r[1]}, {r[2]}:{r[3]}"
+    parser["source"] = {"kind": cfg.source_kind, "amplitude": repr(cfg.source_amplitude), "region": region}
     parser["time"] = {"t_end": repr(cfg.t_end)}
     parser["parareal"] = {
         "n_values": " ".join(str(n) for n in cfg.n_values),
@@ -203,7 +216,6 @@ def config_to_parser(cfg: ExperimentConfig) -> configparser.ConfigParser:
         "epsilon": repr(cfg.epsilon),
         "fine_kind": cfg.fine_kind,
         "k_max": str(cfg.k_max),
-        "workers": str(cfg.workers),
         "basis_workers": str(cfg.basis_workers),
     }
     parser["output"] = {
@@ -338,7 +350,6 @@ def run_single(pipe: Pipeline, n: int) -> RunResult:
         epsilon=cfg.epsilon,
         k_max=cfg.k_max,
         fine_kind=cfg.fine_kind,
-        workers=cfg.workers,
     )
     fine = build_fine_propagator(pconfig, propagators, pipe.loads)
     initial = project_initial(np.zeros(pipe.grid.n_interior), pipe.space, pipe.ops)

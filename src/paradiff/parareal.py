@@ -6,26 +6,25 @@ Iteration k produces states x_n^k at the interval endpoints via
 
 where G is the coupled one-step coarse solve and F propagates one interval
 with the fine substep scheme, either sequentially or through the
-waveform-relaxation all-at-once solver. The fine applications of one sweep
-are independent and run on a thread pool; results merge in interval order,
-so the run is identical for any worker count. The loop stops when the
-largest Euclidean update over the stacked (u, w) endpoint coefficients
-drops below epsilon, or at k_max.
+waveform-relaxation all-at-once solver. Each iteration makes one batched
+fine call over the intervals whose input changed: an interval whose input
+equals, bit for bit, the input of its last fine solve reuses that solve's
+output, which is exact because F is deterministic. At iteration k that
+holds for intervals 0..k-2. The loop stops when the largest Euclidean
+update over the stacked (u, w) endpoint coefficients drops below epsilon,
+or at k_max.
 """
 
 from __future__ import annotations
 
-import logging
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .allatonce import WaveformRelaxation
 from .stepping import ConstantLoads, SplitPropagators, SplitState, TimeGrid
-from .util import parallel_map
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -35,7 +34,6 @@ class ParerealConfig:
     epsilon: float = 1e-14
     k_max: int = 100
     fine_kind: str = "all-at-once"
-    workers: int = 1
     fine_max_iter: int = 400
     fine_tol: float | None = None
 
@@ -51,7 +49,11 @@ class ParerealConfig:
 
 
 class SequentialFine:
-    """Fine propagator: M substeps of the splitting scheme, run sequentially."""
+    """Fine propagator: M substeps of the splitting scheme, run sequentially.
+
+    Fine propagators map interval start states to (final state, info)
+    pairs; propagate is a batch of one.
+    """
 
     kind = "sequential"
 
@@ -60,14 +62,21 @@ class SequentialFine:
         self.time_grid = time_grid
 
     def propagate(self, state: SplitState) -> tuple[SplitState, dict]:
-        traj = self.propagators.fine_interval(
-            state, self.time_grid.dt, self.time_grid.substeps
-        )
-        return traj.final, {"converged": True}
+        return self.propagate_many([state])[0]
+
+    def propagate_many(self, states: Sequence[SplitState]) -> list[tuple[SplitState, dict]]:
+        tg = self.time_grid
+        return [
+            (self.propagators.fine_interval(state, tg.dt, tg.substeps).final, {"converged": True})
+            for state in states
+        ]
 
 
 class AllAtOnceFine:
-    """Fine propagator backed by the waveform-relaxation all-at-once solver."""
+    """Fine propagator backed by the waveform-relaxation all-at-once solver.
+
+    propagate_many runs one stacked waveform relaxation over all its states.
+    """
 
     kind = "all-at-once"
 
@@ -75,13 +84,18 @@ class AllAtOnceFine:
         self.wr = wr
 
     def propagate(self, state: SplitState) -> tuple[SplitState, dict]:
-        res = self.wr.solve(state)
-        return res.trajectory.final, {
-            "converged": res.converged,
-            "iterations": res.iterations,
-            "residuals": res.residuals,
-            "stop_reason": res.stop_reason,
-        }
+        return self.propagate_many([state])[0]
+
+    def propagate_many(self, states: Sequence[SplitState]) -> list[tuple[SplitState, dict]]:
+        return [
+            (res.trajectory.final, {
+                "converged": res.converged,
+                "iterations": res.iterations,
+                "residuals": res.residuals,
+                "stop_reason": res.stop_reason,
+            })
+            for res in self.wr.solve_many(states)
+        ]
 
 
 def build_fine_propagator(
@@ -114,6 +128,9 @@ class ParerealRun:
     max_diffs: list[float]
     iterations: int
     converged: bool
+    # per iteration, per interval: the fine propagator's info dict, or
+    # {"converged": ..., "reused": True} where a settled input reused the
+    # previous output
     fine_info: list[list[dict]]
     fine_seconds: list[float] = field(default_factory=list)
     coarse_seconds: list[float] = field(default_factory=list)
@@ -163,12 +180,13 @@ def run_parareal(
     fine,
     initial: SplitState,
 ) -> ParerealRun:
-    """Full parareal run; deterministic for any worker count.
+    """Full parareal run.
 
     The correction sweep reuses the coarse values computed while building
-    the previous iterate, so each iteration costs one fine sweep plus N new
-    coarse solves. After N iterations the endpoints coincide with the purely
-    sequential fine solution by construction.
+    the previous iterate (for iteration 1, the initial sweep itself), so
+    each iteration costs one batched fine call plus N new coarse solves.
+    After N iterations the endpoints coincide with the purely sequential
+    fine solution by construction.
     """
     tg = config.time_grid
     n_int = tg.n_intervals
@@ -176,23 +194,36 @@ def run_parareal(
     t_start = time.perf_counter()
 
     states = initial_sweep(propagators, initial, tg)
-    coarse_prev = [propagators.coarse_step(s, tg.dt) for s in states[:-1]]
+    coarse_prev = states[1:]
     history = [np.array([s.stacked() for s in states])]
     max_diffs: list[float] = []
     fine_info: list[list[dict]] = []
     fine_seconds: list[float] = []
     coarse_seconds: list[float] = []
+    # per interval: (input row, input time) and (output, info) of its last fine solve
+    fine_inputs: list[tuple[np.ndarray, float] | None] = [None] * n_int
+    fine_outputs: list[tuple[SplitState, dict] | None] = [None] * n_int
     converged = False
     iterations = 0
 
     for _ in range(config.k_max):
         iterations += 1
         tic = time.perf_counter()
-        fine_results = parallel_map(
-            lambda n: fine.propagate(states[n]), range(n_int), workers=config.workers
-        )
+        rows = history[-1]
+        stale = [
+            n for n in range(n_int)
+            if fine_inputs[n] is None
+            or fine_inputs[n][1] != states[n].t
+            or not np.array_equal(fine_inputs[n][0], rows[n])
+        ]
+        for n, out in zip(stale, fine.propagate_many([states[n] for n in stale])):
+            fine_inputs[n], fine_outputs[n] = (rows[n], states[n].t), out
         fine_seconds.append(time.perf_counter() - tic)
-        fine_info.append([info for _, info in fine_results])
+        fresh = set(stale)
+        fine_info.append([
+            info if n in fresh else {"converged": info["converged"], "reused": True}
+            for n, (_, info) in enumerate(fine_outputs)
+        ])
 
         tic = time.perf_counter()
         new_states = [initial]
@@ -200,7 +231,7 @@ def run_parareal(
         for n in range(n_int):
             g_new = propagators.coarse_step(new_states[n], tg.dt)
             coarse_new.append(g_new)
-            fin, _ = fine_results[n]
+            fin = fine_outputs[n][0]
             # group the coarse difference first: once an interval's input
             # state has settled, G(x) - G(x) cancels to exact zeros and the
             # update passes the fine value through bit for bit, which is
@@ -218,9 +249,9 @@ def run_parareal(
             converged = True
             break
 
-    run = ParerealRun(
+    return ParerealRun(
         config=config,
-        d1=propagators.system.d1,
+        d1=d1,
         history=history,
         max_diffs=max_diffs,
         iterations=iterations,
@@ -230,7 +261,3 @@ def run_parareal(
         coarse_seconds=coarse_seconds,
         total_seconds=time.perf_counter() - t_start,
     )
-    bad = run.wr_nonconverged()
-    if bad:
-        log.warning("fine solver hit max_iter on %d (iteration, interval) pairs", len(bad))
-    return run

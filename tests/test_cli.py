@@ -105,6 +105,14 @@ def test_invalid_config_value(tmp_path, capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+def test_stale_config_option_exits_2(tmp_path, capsys):
+    path = tmp_path / "stale.ini"
+    path.write_text("[parareal]\nalpha = 0.5\nworkers = 1\n")
+    rc = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "unknown option parareal.workers" in capsys.readouterr().err
+
+
 def test_basis_exports(tmp_path, capsys):
     out = tmp_path / "basis"
     rc = cli.main(["basis", "--config", config_file(tmp_path), "--out", str(out)])

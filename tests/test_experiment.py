@@ -110,6 +110,19 @@ def test_malformed_values_raise_config_error():
         config_from_parser(parser3)
 
 
+@pytest.mark.parametrize(
+    "section, option",
+    [("parareal", "workers"), ("parareal", "aplha"), ("grid", "nz"), ("solver", "tol")],
+)
+def test_unknown_option_raises_config_error(section, option):
+    parser = config_to_parser(example1_config())
+    if not parser.has_section(section):
+        parser.add_section(section)
+    parser.set(section, option, "1")
+    with pytest.raises(ConfigError, match=rf"unknown (option {section}\.{option}|section \[{section}\])"):
+        config_from_parser(parser)
+
+
 def test_relative_error_definition(channel_pipeline, rng):
     ops = channel_pipeline.ops
     a = rng.standard_normal(ops.M.shape[0])

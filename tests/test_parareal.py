@@ -20,14 +20,13 @@ def scalar_system(a=6.0):
     )
 
 
-def make_run(pipe, *, n=6, substeps=4, fine_kind="sequential", workers=1,
+def make_run(pipe, *, n=6, substeps=4, fine_kind="sequential",
              epsilon=1e-14, k_max=100, alpha=0.5, fine_tol=None, fine_max_iter=400):
     tg = TimeGrid(pipe.config.t_end, n, substeps)
     props = SplitPropagators(pipe.space.system, pipe.loads)
     cfg = ParerealConfig(
         time_grid=tg, alpha=alpha, epsilon=epsilon, k_max=k_max,
-        fine_kind=fine_kind, workers=workers,
-        fine_tol=fine_tol, fine_max_iter=fine_max_iter,
+        fine_kind=fine_kind, fine_tol=fine_tol, fine_max_iter=fine_max_iter,
     )
     fine = build_fine_propagator(cfg, props, pipe.loads)
     initial = SplitState.fresh(np.zeros(pipe.space.d1), np.zeros(pipe.space.d2))
@@ -85,16 +84,87 @@ def test_exactness_holds_for_all_at_once_kind(channel_pipeline):
     assert np.array_equal(run.history[-1], np.array(expected))
 
 
-def test_worker_count_determinism(channel_pipeline):
-    runs = [
-        make_run(channel_pipeline, n=6, substeps=4, fine_kind="all-at-once",
-                 workers=w, fine_tol=1e-13)[0]
-        for w in (1, 3)
-    ]
-    assert len(runs[0].history) == len(runs[1].history)
-    for a, b in zip(runs[0].history, runs[1].history):
+def test_batched_fine_matches_solo_bitwise(channel_pipeline):
+    """One propagate_many over all intervals gives every interval the final
+    state and residual list of its solo propagate, bit for bit."""
+    pipe = channel_pipeline
+    tg = TimeGrid(pipe.config.t_end, 6, 4)
+    props = SplitPropagators(pipe.space.system, pipe.loads)
+    initial = SplitState.fresh(np.zeros(pipe.space.d1), np.zeros(pipe.space.d2))
+    starts = initial_sweep(props, initial, tg)[:-1]
+    for fine_kind in ("all-at-once", "sequential"):
+        cfg = ParerealConfig(time_grid=tg, alpha=0.5, fine_kind=fine_kind, fine_tol=1e-13)
+        fine = build_fine_propagator(cfg, props, pipe.loads)
+        batched = fine.propagate_many(starts)
+        assert len(batched) == len(starts)
+        for start, (fin, info) in zip(starts, batched):
+            solo_fin, solo_info = fine.propagate(start)
+            assert np.array_equal(fin.stacked(), solo_fin.stacked())
+            assert np.array_equal(fin.u_prev, solo_fin.u_prev)
+            assert np.array_equal(fin.w_prev, solo_fin.w_prev)
+            assert info == solo_info
+        assert fine.propagate_many([]) == []
+
+
+def reference_parareal(props, fine, initial, tg, iterations):
+    """Textbook parareal: every interval's fine solve recomputed each iteration."""
+    d1 = props.system.d1
+    states = [initial]
+    for _ in range(tg.n_intervals):
+        states.append(props.coarse_step(states[-1], tg.dt))
+    coarse_prev = [props.coarse_step(s, tg.dt) for s in states[:-1]]
+    history = [np.array([s.stacked() for s in states])]
+    for _ in range(iterations):
+        fines = [fine.propagate(s)[0] for s in states[:-1]]
+        new_states, coarse_new = [initial], []
+        for n, fin in enumerate(fines):
+            g_new = props.coarse_step(new_states[n], tg.dt)
+            coarse_new.append(g_new)
+            vec = fin.stacked() + (g_new.stacked() - coarse_prev[n].stacked())
+            new_states.append(SplitState.fresh(vec[:d1], vec[d1:], fin.t))
+        history.append(np.array([s.stacked() for s in new_states]))
+        states, coarse_prev = new_states, coarse_new
+    return history
+
+
+@pytest.mark.parametrize("fine_kind", ["all-at-once", "sequential"])
+def test_settled_intervals_reuse_fine_solves(channel_pipeline, fine_kind):
+    pipe = channel_pipeline
+    n, k = 6, 6
+    tg = TimeGrid(pipe.config.t_end, n, 4)
+    props = SplitPropagators(pipe.space.system, pipe.loads)
+    cfg = ParerealConfig(time_grid=tg, alpha=0.5, epsilon=0.0, k_max=k,
+                         fine_kind=fine_kind, fine_tol=1e-13)
+    fine = build_fine_propagator(cfg, props, pipe.loads)
+    batch_sizes = []
+    propagate_many = fine.propagate_many
+
+    def counted(states):
+        batch_sizes.append(len(states))
+        return propagate_many(states)
+
+    fine.propagate_many = counted
+    initial = SplitState.fresh(np.zeros(pipe.space.d1), np.zeros(pipe.space.d2))
+    run = run_parareal(cfg, props, fine, initial)
+    assert run.iterations == k
+
+    h = run.history
+    settled = sum(
+        np.array_equal(h[i][m], h[i - 1][m]) for i in range(1, k) for m in range(n)
+    )
+    assert settled > 0
+    assert len(batch_sizes) == k
+    assert sum(batch_sizes) == n * k - settled
+    real = [info for sweep in run.fine_info for info in sweep if not info.get("reused")]
+    reused = [info for sweep in run.fine_info for info in sweep if info.get("reused")]
+    assert len(real) == n * k - settled and len(reused) == settled
+    assert all(info.keys() == {"converged", "reused"} for info in reused)
+
+    fine.propagate_many = propagate_many
+    expected = reference_parareal(props, fine, initial, tg, k)
+    assert len(expected) == len(h)
+    for a, b in zip(h, expected):
         assert np.array_equal(a, b)
-    assert runs[0].max_diffs == runs[1].max_diffs
 
 
 def test_scalar_closed_form_solution():
@@ -144,6 +214,22 @@ def test_wr_nonconverged_pairs_reported(channel_pipeline, caplog):
     assert bad
     assert all(1 <= k <= 2 and 0 <= n < 3 for k, n in bad)
     assert any("hit max_iter" in rec.message for rec in caplog.records)
+
+
+def test_wr_warnings_combined_per_iteration(channel_pipeline, caplog):
+    with caplog.at_level("WARNING"):
+        run, *_ = make_run(
+            channel_pipeline, n=4, substeps=8, fine_kind="all-at-once",
+            k_max=3, epsilon=0.0, fine_tol=1e-13, fine_max_iter=2,
+        )
+    # one warning per iteration whose batched solve left intervals unconverged
+    failing = [
+        k for k, sweep in enumerate(run.fine_info, start=1)
+        if any(not info["converged"] and not info.get("reused") for info in sweep)
+    ]
+    wr_warnings = [rec for rec in caplog.records if rec.name == "paradiff.allatonce"]
+    assert failing and len(wr_warnings) == len(failing)
+    assert all("not converged on" in rec.message for rec in wr_warnings)
 
 
 def test_unknown_fine_kind_rejected(channel_pipeline):

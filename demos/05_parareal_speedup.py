@@ -4,12 +4,12 @@ Runs the one-channel 60x60 setup with N = 16 intervals and M = 16
 substeps per interval and prints the per-iteration correction sizes next
 to the true error against a fine backward Euler reference. Then, for
 several N, it times the sequential split scheme that parareal converges
-to, the parareal run as executed here (one core; each iteration is one
-batched fine call over the intervals whose input changed), and one solo
-fine solve per interval. The ideal parallel time assumes one core per
-interval, so that an iteration costs the slowest solo fine solve plus the
-serial coarse sweep; it only means something next to the measured
-sequential time, which is printed beside it.
+to, the parareal run as executed here (one core; each iteration solves
+the intervals whose input changed one after another), and the fine solve
+of every interval. The ideal parallel time assumes one core per interval,
+so that an iteration costs the slowest fine solve plus the serial coarse
+sweep; it only means something next to the measured sequential time,
+which is printed beside it.
 
 Run: python3 demos/05_parareal_speedup.py
 """
@@ -42,7 +42,7 @@ def timed(fn):
 
 
 def costs(pipe, n):
-    """(sequential scheme s, slowest solo fine solve s) at N = n."""
+    """(sequential scheme s, slowest fine solve of one interval s) at N = n."""
     cfg = pipe.config
     tg = cfg.time_grid(n)
     props = SplitPropagators(pipe.space.system, pipe.loads)
@@ -89,7 +89,7 @@ def main():
 
     print("wall times in seconds (%s fine propagator):" % pipe.config.fine_kind)
     print("%4s %6s %11s %9s %11s %11s %9s" % (
-        "N", "iters", "sequential", "parareal", "solo fine", "ideal par.", "speedup"))
+        "N", "iters", "sequential", "parareal", "max fine", "ideal par.", "speedup"))
     quiet = replace(pipe, config=replace(pipe.config, compute_reference=False))
     for n_big in (16, 32, 48):
         rb = run_single(quiet, n_big).run
@@ -100,7 +100,7 @@ def main():
     print()
     print("sequential: the split scheme over [0, T], the solution parareal")
     print("converges to. parareal: the run as executed here on one core.")
-    print("ideal par.: iterations x (slowest solo fine solve + coarse sweep),")
+    print("ideal par.: iterations x (slowest fine solve + coarse sweep),")
     print("the modelled time with one core per interval; speedup is the")
     print("sequential time over it. Whether any speedup is real depends on")
     print("that sequential column, not on the parareal run alone.")

@@ -17,21 +17,17 @@ by waveform relaxation: alternate the all-at-once u-solve with a sequential
 w-sweep until the iterates stop moving. At the fixed point the pair
 reproduces the sequential partially explicit scheme on the same substep
 grid exactly. The w-sweep runs in the eigenbasis of the pencil (A22, M22),
-where its recurrence is elementwise.
-
-Several intervals are solved together on stacked (n, M, d) arrays. Every
-kernel treats each interval on its own (one BLAS call per interval, FFTs
-along the substep axis, elementwise recurrences), so an interval gets the
-same bits whatever it is batched with.
+where its recurrence decouples per mode and unrolls over the window into
+one product with a lower-triangular Toeplitz matrix per mode.
 """
 
 from __future__ import annotations
 
 import logging
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft
 from scipy.linalg import eigh
 
 from .msbasis import CoarseSystem
@@ -101,8 +97,8 @@ class ImplicitAllAtOnce:
     The M shifted matrices d_k M11 + A11 are inverted once at construction;
     every solve is then two FFTs and one matrix-vector product per substep.
     The back-substituted residual of the full system and the discarded
-    imaginary residue are kept per right-hand side as conditioning guards;
-    WaveformRelaxation reports them.
+    imaginary residue of the last solve are conditioning guards, computed
+    when read.
     """
 
     def __init__(self, system: CoarseSystem, substeps: int, dt: float, alpha: float):
@@ -114,34 +110,39 @@ class ImplicitAllAtOnce:
             self.inv_shifted = np.linalg.inv(shifted)
         else:
             self.inv_shifted = np.zeros((substeps, 0, 0), dtype=complex)
-        self.last_residual = np.zeros(())
-        self.last_imag_residue = np.zeros(())
+        # S = Lambda V applied as Lambda * ifft and S^{-1} as fft of Lambda^{-1} x;
+        # the 1/M of the forward transform cancels against the M of apply_S
+        self._lam = self.time_matrix.scaling()[:, None]
+        self._last: tuple[np.ndarray, np.ndarray] | None = None  # (rhs, complex u)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """rhs has one row per substep, shape (M, d1), or is a stack (n, M, d1).
-
-        last_residual and last_imag_residue then have shape () or (n,).
-        """
-        tm = self.time_matrix
+        """rhs has one row per substep, shape (M, d1)."""
         if self.system.d1 == 0:
-            self.last_residual = self.last_imag_residue = np.zeros(rhs.shape[:-2])
-            return np.zeros(rhs.shape)
-        # substeps on axis 0 for the transforms; one product per (substep, interval)
-        p = apply_S_inverse(np.moveaxis(rhs, -2, 0), tm.alpha)
-        inv = self.inv_shifted.reshape((tm.substeps,) + (1,) * (p.ndim - 2) + self.inv_shifted.shape[1:])
-        q = (inv @ p[..., None])[..., 0]
-        u_c = np.moveaxis(apply_S(q, tm.alpha), 0, -2)
-        scale = np.maximum(np.abs(u_c).max(axis=(-2, -1)), 1e-300)
-        self.last_imag_residue = np.abs(u_c.imag).max(axis=(-2, -1)) / scale
-        u = np.ascontiguousarray(u_c.real)
-        bu = np.empty_like(u)
-        bu[..., 0, :] = (u[..., 0, :] - tm.alpha * u[..., -1, :]) / tm.dt
-        bu[..., 1:, :] = (u[..., 1:, :] - u[..., :-1, :]) / tm.dt
-        res = bu @ self.system.M11 + u @ self.system.A11 - rhs
-        self.last_residual = np.linalg.norm(res, axis=(-2, -1)) / np.maximum(
-            np.linalg.norm(rhs, axis=(-2, -1)), 1e-300
-        )
-        return u
+            return np.zeros((self.time_matrix.substeps, 0))
+        p = fft.fft(rhs / self._lam, axis=0)
+        u_c = self._lam * fft.ifft((self.inv_shifted @ p[:, :, None])[:, :, 0], axis=0)
+        self._last = (rhs, u_c)
+        return u_c.real.copy()
+
+    @property
+    def last_residual(self) -> float:
+        """Relative residual of the last solve in the full system."""
+        if self._last is None:
+            return 0.0
+        rhs, u_c = self._last
+        tm, u = self.time_matrix, u_c.real
+        # B u row by row: (u_s - u_{s-1})/dt, with alpha u_{M-1} before u_0
+        u_prev = np.concatenate((tm.alpha * u[-1:], u[:-1]))
+        res = (u - u_prev) / tm.dt @ self.system.M11 + u @ self.system.A11 - rhs
+        return float(np.linalg.norm(res) / max(np.linalg.norm(rhs), 1e-300))
+
+    @property
+    def last_imag_residue(self) -> float:
+        """Largest imaginary part the last solve discarded, relative to its largest entry."""
+        if self._last is None:
+            return 0.0
+        u_c = self._last[1]
+        return float(np.abs(u_c.imag).max() / max(np.abs(u_c).max(), 1e-300))
 
 
 def build_rhs(
@@ -160,15 +161,12 @@ def build_rhs(
     Row s carries the load plus the lagged w-terms of the previous waveform
     iterate, f1^s - M12 (w_{s-1} - w_{s-2})/dt - A12 w_{s-1}; the first row
     adds M11 (u_0 - alpha u_M^{prev})/dt. The interval's initial w supplies
-    w_0 and its lag w_{-1} = w_0. Rows are (M, d) arrays with (d,) start
-    values, or stacks (n, M, d) with (n, d) start values.
+    w_0 and its lag w_{-1} = w_0.
     """
-    w_hist = np.concatenate(
-        [w_lag[..., None, :], w_start[..., None, :], w_rows_prev[..., :-1, :]], axis=-2
-    )
-    dw = (w_hist[..., 1:, :] - w_hist[..., :-1, :]) / dt
-    rhs = f1_rows - dw @ system.M12.T - w_hist[..., 1:, :] @ system.A12.T
-    rhs[..., 0, :] += (system.M11 @ (u_start - alpha * u_final_prev)[..., None])[..., 0] / dt
+    w_hist = np.concatenate((w_lag[None], w_start[None], w_rows_prev[:-1]))
+    dw = (w_hist[1:] - w_hist[:-1]) / dt
+    rhs = f1_rows - dw @ system.M12.T - w_hist[1:] @ system.A12.T
+    rhs[0] += system.M11 @ (u_start - alpha * u_final_prev) / dt
     return rhs
 
 
@@ -179,8 +177,13 @@ class WRResult:
     iterations: int
     converged: bool
     stop_reason: str
-    solver_residual: float = 0.0
+    solver_residual: float = 0.0  # guards of the last u-solve
     imag_residue: float = 0.0
+
+
+def _max_row_norm(x: np.ndarray) -> float:
+    """Largest Euclidean norm over the rows of x, 0 for zero columns."""
+    return float(np.sqrt((x * x).sum(axis=1).max()))
 
 
 def _stop_reason(residuals: list[float], tol: float) -> str | None:
@@ -202,15 +205,13 @@ def _stop_reason(residuals: list[float], tol: float) -> str | None:
 
 
 class WaveformRelaxation:
-    """Alternating u all-at-once / w sweep solver over coarse intervals.
+    """Alternating u all-at-once / w sweep solver for one coarse interval.
 
     Seeds: the w iterate is the constant extension of the interval's initial
-    w, the previous final u equals the initial u. Each interval stops by
-    `_stop_reason` on its combined max-over-substeps update, or flagged
-    non-converged at max_iter. `solve_many` iterates a batch of intervals
-    on stacked arrays; an interval that stops is frozen and leaves the
-    batch, so its sweeps and bits are those of solving it alone, which is
-    what `solve` does (a batch of one).
+    w, the previous final u equals the initial u. Stops by `_stop_reason` on
+    the combined max-over-substeps update, or flagged non-converged at
+    max_iter. The result carries the flags and the guards; the caller
+    reports them (`wr_fine_solve` warns per solve, parareal per iteration).
     """
 
     def __init__(
@@ -234,121 +235,82 @@ class WaveformRelaxation:
         self.implicit = ImplicitAllAtOnce(system, substeps, self.dt, alpha)
         # w = V z with A22 V = M22 V diag(lam) and V^T M22 V = I turns the
         # explicit step w_s = (I - dt M22^{-1} A22) w_{s-1} + dt M22^{-1} r_s
-        # into z_s = mu * z_{s-1} + dt V^T r_s, elementwise, mu = 1 - dt lam
-        lam, self.modes = eigh(system.A22, system.M22) if system.d2 else (np.zeros(0), np.zeros((0, 0)))
+        # into z_s = mu z_{s-1} + h_s per mode, mu = 1 - dt lam, h = dt V^T r.
+        # Over the window z_s = mu^s z_0 + sum_{j<=s} mu^{s-j} h_j: per mode a
+        # lower-triangular Toeplitz matrix of powers of mu, (d2, M, M) in all.
+        if system.d2:
+            lam, self.modes = eigh(system.A22, system.M22)
+        else:
+            lam, self.modes = np.zeros(0), np.zeros((0, 0))
         self.mu = 1.0 - self.dt * lam
-        self._to_modes = system.M22 @ self.modes  # z = w M22 V for row vectors
-        self._m12_modes = system.M12 @ self.modes
-        self._a12_modes = system.A12 @ self.modes
+        powers = self.mu[:, None] ** np.arange(substeps + 1)
+        lag = np.subtract.outer(np.arange(substeps), np.arange(substeps))
+        self._unroll = np.ascontiguousarray(
+            np.where(lag >= 0, powers[:, np.maximum(lag, 0)], 0.0)
+        )
+        self._z0_gain = powers[:, 1:]
+        self._m12_t = np.ascontiguousarray((system.M12 @ self.modes).T)
+        self._a12_dt_t = np.ascontiguousarray(self.dt * (system.A12 @ self.modes).T)
 
-    def _load_rows(self, t0: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-        """Loads at substeps 1..M of each interval, shapes (n, M, d1) and (n, M, d2)."""
-        shape = (len(t0), self.substeps)
+    def _load_rows(self, t0: float) -> tuple[np.ndarray, np.ndarray]:
+        """Loads at substeps 1..M, shapes (M, d1) and (M, d2)."""
         if getattr(self.loads, "constant", False):
-            f1, f2 = self.loads.at(t0[0])
-            return np.broadcast_to(f1, shape + f1.shape).copy(), np.broadcast_to(f2, shape + f2.shape).copy()
-        offsets = self.dt * np.arange(1, self.substeps + 1)
-        pairs = [self.loads.at(t) for t0_n in t0 for t in t0_n + offsets]
-        f1 = np.array([p[0] for p in pairs]).reshape(shape + (self.system.d1,))
-        f2 = np.array([p[1] for p in pairs]).reshape(shape + (self.system.d2,))
+            f1, f2 = self.loads.at(t0)
+            return np.tile(f1, (self.substeps, 1)), np.tile(f2, (self.substeps, 1))
+        pairs = [self.loads.at(t) for t in t0 + self.dt * np.arange(1, self.substeps + 1)]
+        f1 = np.array([p[0] for p in pairs]).reshape(self.substeps, self.system.d1)
+        f2 = np.array([p[1] for p in pairs]).reshape(self.substeps, self.system.d2)
         return f1, f2
 
-    def _w_sweep(self, u_rows, u_start, z_start, f2_modes):
-        """w rows of the explicit w-step driven by u rows, run on the modes."""
-        u_hist = np.concatenate([u_start[:, None], u_start[:, None], u_rows[:, :-1]], axis=1)
-        du = (u_hist[:, 1:] - u_hist[:, :-1]) / self.dt
-        h = self.dt * (f2_modes - du @ self._m12_modes - u_rows @ self._a12_modes)
-        z = np.empty_like(h)
-        z_s = z_start
-        for i in range(self.substeps):
-            z_s = self.mu * z_s + h[:, i]
-            z[:, i] = z_s
-        return z @ self.modes.T
+    def _sweep_z(self, h_t: np.ndarray) -> np.ndarray:
+        """sum_{j<=s} mu^{s-j} h_j for every substep s; h_t and the result are (d2, M)."""
+        return (self._unroll @ h_t[:, :, None])[:, :, 0]
 
     def solve(self, state: SplitState) -> WRResult:
         """Treats state as an interval start: lag values reset to (u, w)."""
-        return self.solve_many([state])[0]
+        s, m = self.system, self.substeps
+        u0, w0, t0 = state.u, state.w, state.t
+        f1_rows, f2_rows = self._load_rows(t0)
+        # z = V^T M22 w as two products: the square product M22 V gives
+        # different bits at different BLAS thread counts
+        z0 = (w0 @ self.system.M22) @ self.modes
+        # the part of the w-sweep that does not depend on the u iterate
+        z_base = self._sweep_z(self.dt * (f2_rows @ self.modes).T) + self._z0_gain * z0[:, None]
 
-    def solve_many(self, states: Sequence[SplitState]) -> list[WRResult]:
-        """Solve the intervals starting at states together; results in input order.
-
-        Warns once if any interval ends unconverged and once if the
-        imaginary residue of a u-solve exceeded 1e-9.
-        """
-        s, m, n = self.system, self.substeps, len(states)
-        if n == 0:
-            return []
-        u0 = np.array([st.u for st in states]).reshape(n, s.d1)
-        w0 = np.array([st.w for st in states]).reshape(n, s.d2)
-        f1_rows, f2_rows = self._load_rows([st.t for st in states])
-        f2_modes = f2_rows @ self.modes
-        z0 = (w0[:, None] @ self._to_modes)[:, 0]
-        u_rows = np.repeat(u0[:, None], m, axis=1)
-        w_rows = np.repeat(w0[:, None], m, axis=1)
-        active = list(range(n))  # interval of each row of the stacks
-        residuals: list[list[float]] = [[] for _ in range(n)]
-        results: list[WRResult | None] = [None] * n
-        worst_imag = 0.0
-        for sweep in range(1, self.max_iter + 1):
-            rhs = build_rhs(s, f1_rows, u0, w0, w0, w_rows, u_rows[:, -1], self.dt, self.alpha)
+        u_rows = np.tile(u0, (m, 1))
+        w_rows = np.tile(w0, (m, 1))
+        residuals: list[float] = []
+        reason = None
+        while reason is None and len(residuals) < self.max_iter:
+            rhs = build_rhs(s, f1_rows, u0, w0, w0, w_rows, u_rows[-1], self.dt, self.alpha)
             u_new = self.implicit.solve(rhs)
-            w_new = self._w_sweep(u_new, u0, z0, f2_modes)
-            resid = np.zeros(len(active))
-            for new, old in ((u_new, u_rows), (w_new, w_rows)):
-                if new.shape[-1]:
-                    resid = resid + np.linalg.norm(new - old, axis=-1).max(axis=-1)
+            # minus the u-driven part of h: V^T (M21 (u_s - u_{s-1}) + dt A21 u_s),
+            # with the lag u_{-1} = u_0
+            u_hist = np.concatenate((u0[None], u0[None], u_new[:-1]))
+            g_t = self._m12_t @ (u_hist[1:] - u_hist[:-1]).T + self._a12_dt_t @ u_new.T
+            w_new = (self.modes @ (z_base - self._sweep_z(g_t))).T
+            residuals.append(_max_row_norm(u_new - u_rows) + _max_row_norm(w_new - w_rows))
             u_rows, w_rows = u_new, w_new
-            solver_res, imag = self.implicit.last_residual, self.implicit.last_imag_residue
-            worst_imag = max(worst_imag, float(imag.max()))
-            keep = []
-            for row, (i, r) in enumerate(zip(active, resid.tolist())):
-                residuals[i].append(r)
-                reason = _stop_reason(residuals[i], self.tol)
-                if reason is None and sweep < self.max_iter:
-                    keep.append(row)
-                    continue
-                results[i] = self._result(
-                    states[i], u_rows[row], w_rows[row], residuals[i], reason or "max_iter",
-                    float(solver_res[row]), float(imag[row]),
-                )
-            if len(keep) < len(active):
-                if not keep:
-                    break
-                active = [active[row] for row in keep]
-                u0, w0, z0, f1_rows, f2_modes, u_rows, w_rows = (
-                    a[keep] for a in (u0, w0, z0, f1_rows, f2_modes, u_rows, w_rows)
-                )
+            reason = _stop_reason(residuals, self.tol)
 
-        bad = [r for r in results if not r.converged]
-        if bad:
-            hit_max = sum(r.stop_reason == "max_iter" for r in bad)
-            log.warning(
-                "waveform relaxation not converged on %d of %d intervals: %d hit max_iter, "
-                "%d diverged (largest final residual %.3e)",
-                len(bad), n, hit_max, len(bad) - hit_max, max(r.residuals[-1] for r in bad),
-            )
-        if worst_imag > 1e-9:
-            log.warning("all-at-once imaginary residue %.3e above 1e-9", worst_imag)
-        return results
-
-    def _result(self, state, u_rows, w_rows, residuals, reason, solver_residual, imag_residue) -> WRResult:
-        full_u = np.vstack([state.u, u_rows])
-        full_w = np.vstack([state.w, w_rows])
+        full_u = np.vstack([u0, u_rows])
+        full_w = np.vstack([w0, w_rows])
         final = SplitState(
             u=full_u[-1].copy(),
             w=full_w[-1].copy(),
             u_prev=full_u[-2].copy(),
             w_prev=full_w[-2].copy(),
-            t=state.t + self.dt_interval,
+            t=t0 + self.dt_interval,
         )
+        reason = reason or "max_iter"
         return WRResult(
-            trajectory=SplitTrajectory(state.t + self.dt * np.arange(self.substeps + 1), full_u, full_w, final),
+            trajectory=SplitTrajectory(t0 + self.dt * np.arange(m + 1), full_u, full_w, final),
             residuals=residuals,
             iterations=len(residuals),
             converged=reason in ("tol", "floor"),
             stop_reason=reason,
-            solver_residual=solver_residual,
-            imag_residue=imag_residue,
+            solver_residual=self.implicit.last_residual,
+            imag_residue=self.implicit.last_imag_residue,
         )
 
 
@@ -362,6 +324,16 @@ def wr_fine_solve(
     tol: float = 1e-12,
     max_iter: int = 400,
 ) -> WRResult:
-    """One-shot waveform-relaxation solve of a single coarse interval."""
+    """One-shot waveform-relaxation solve of a single coarse interval; warns
+    if it did not converge or if a u-solve's imaginary residue exceeded 1e-9."""
     wr = WaveformRelaxation(system, substeps, dt_interval, alpha, loads, tol, max_iter)
-    return wr.solve(state)
+    res = wr.solve(state)
+    if not res.converged:
+        log.warning(
+            "waveform relaxation %s after %d sweeps (residual %.3e)",
+            "diverged" if res.stop_reason == "diverged" else "not converged",
+            res.iterations, res.residuals[-1],
+        )
+    if res.imag_residue > 1e-9:
+        log.warning("all-at-once imaginary residue %.3e above 1e-9", res.imag_residue)
+    return res

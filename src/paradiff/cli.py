@@ -35,7 +35,7 @@ from .experiment import (
     example1_config,
     run_experiment,
 )
-from .parareal import ParerealConfig, build_fine_propagator, initial_sweep
+from .parareal import ParerealConfig, build_fine_propagator, run_parareal
 from .stepping import SplitPropagators, project_initial
 from .util import save_matrix_txt
 
@@ -146,18 +146,19 @@ def run_checks(cfg) -> list[tuple[str, bool, str]]:
         time_grid=tg, alpha=cfg.alpha, epsilon=cfg.epsilon, k_max=cfg.k_max,
         fine_kind=cfg.fine_kind, fine_tol=1e-13, fine_max_iter=400,
     )
-    fine = build_fine_propagator(pconf, propagators, pipe.loads)
     initial = project_initial(np.zeros(pipe.grid.n_interior), space, pipe.ops)
-    starts = initial_sweep(propagators, initial, tg)[:-1]
-    batched = fine.propagate_many(starts)
-    same = all(
-        np.array_equal(fin.stacked(), solo_fin.stacked())
-        and info.get("residuals") == solo_info.get("residuals")
-        for (fin, info), (solo_fin, solo_info) in zip(batched, map(fine.propagate, starts))
+    # reusing the fine solves of settled intervals is exact only if the fine
+    # propagator is deterministic
+    runs = [
+        run_parareal(pconf, propagators, build_fine_propagator(pconf, propagators, pipe.loads), initial)
+        for _ in range(2)
+    ]
+    same = len(runs[0].history) == len(runs[1].history) and all(
+        np.array_equal(a, b) for a, b in zip(runs[0].history, runs[1].history)
     )
     checks.append(
-        ("batched fine propagation equals per-interval solves (bitwise)", same,
-         f"{len(starts)} intervals, {cfg.fine_kind} fine propagator")
+        ("repeated parareal runs agree (bitwise)", same,
+         f"{runs[0].iterations} iterations, {cfg.fine_kind} fine propagator")
     )
 
     worst = 0.0
@@ -173,8 +174,6 @@ def run_checks(cfg) -> list[tuple[str, bool, str]]:
         ("diagonalization S D S^-1 = B (<= 1e-10 rel)", worst <= 1e-10, f"max {worst:.2e}")
     )
 
-    propagators = SplitPropagators(space.system, pipe.loads)
-    initial = project_initial(np.zeros(pipe.grid.n_interior), space, pipe.ops)
     wr = wr_fine_solve(space.system, initial, tg.dt, tg.substeps, cfg.alpha, pipe.loads)
     seq = propagators.fine_interval(initial, tg.dt, tg.substeps)
     gap = np.linalg.norm(wr.trajectory.final.stacked() - seq.final.stacked())

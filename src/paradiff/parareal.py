@@ -6,25 +6,26 @@ Iteration k produces states x_n^k at the interval endpoints via
 
 where G is the coupled one-step coarse solve and F propagates one interval
 with the fine substep scheme, either sequentially or through the
-waveform-relaxation all-at-once solver. Each iteration makes one batched
-fine call over the intervals whose input changed: an interval whose input
-equals, bit for bit, the input of its last fine solve reuses that solve's
-output, which is exact because F is deterministic. At iteration k that
-holds for intervals 0..k-2. The loop stops when the largest Euclidean
-update over the stacked (u, w) endpoint coefficients drops below epsilon,
-or at k_max.
+waveform-relaxation all-at-once solver. Each iteration applies F only to
+the intervals whose input changed: an interval whose input equals, bit for
+bit, the input of its last fine solve reuses that solve's output, which is
+exact because F is deterministic. At iteration k that holds for intervals
+0..k-2. The loop stops when the largest Euclidean update over the stacked
+(u, w) endpoint coefficients drops below epsilon, or at k_max.
 """
 
 from __future__ import annotations
 
+import logging
 import time
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .allatonce import WaveformRelaxation
 from .stepping import ConstantLoads, SplitPropagators, SplitState, TimeGrid
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -49,11 +50,7 @@ class ParerealConfig:
 
 
 class SequentialFine:
-    """Fine propagator: M substeps of the splitting scheme, run sequentially.
-
-    Fine propagators map interval start states to (final state, info)
-    pairs; propagate is a batch of one.
-    """
+    """Fine propagator: M substeps of the splitting scheme, run sequentially."""
 
     kind = "sequential"
 
@@ -62,21 +59,14 @@ class SequentialFine:
         self.time_grid = time_grid
 
     def propagate(self, state: SplitState) -> tuple[SplitState, dict]:
-        return self.propagate_many([state])[0]
-
-    def propagate_many(self, states: Sequence[SplitState]) -> list[tuple[SplitState, dict]]:
-        tg = self.time_grid
-        return [
-            (self.propagators.fine_interval(state, tg.dt, tg.substeps).final, {"converged": True})
-            for state in states
-        ]
+        traj = self.propagators.fine_interval(
+            state, self.time_grid.dt, self.time_grid.substeps
+        )
+        return traj.final, {"converged": True}
 
 
 class AllAtOnceFine:
-    """Fine propagator backed by the waveform-relaxation all-at-once solver.
-
-    propagate_many runs one stacked waveform relaxation over all its states.
-    """
+    """Fine propagator backed by the waveform-relaxation all-at-once solver."""
 
     kind = "all-at-once"
 
@@ -84,18 +74,14 @@ class AllAtOnceFine:
         self.wr = wr
 
     def propagate(self, state: SplitState) -> tuple[SplitState, dict]:
-        return self.propagate_many([state])[0]
-
-    def propagate_many(self, states: Sequence[SplitState]) -> list[tuple[SplitState, dict]]:
-        return [
-            (res.trajectory.final, {
-                "converged": res.converged,
-                "iterations": res.iterations,
-                "residuals": res.residuals,
-                "stop_reason": res.stop_reason,
-            })
-            for res in self.wr.solve_many(states)
-        ]
+        res = self.wr.solve(state)
+        return res.trajectory.final, {
+            "converged": res.converged,
+            "iterations": res.iterations,
+            "residuals": res.residuals,
+            "stop_reason": res.stop_reason,
+            "imag_residue": res.imag_residue,
+        }
 
 
 def build_fine_propagator(
@@ -159,6 +145,23 @@ def max_state_diff(prev: np.ndarray, new: np.ndarray) -> float:
     return float(np.linalg.norm(new[1:] - prev[1:], axis=1).max())
 
 
+def warn_fine_sweep(iteration: int, infos: list[dict]) -> None:
+    """One warning for the fine solves of an iteration that did not converge,
+    one for an all-at-once imaginary residue above 1e-9."""
+    bad = [info for info in infos if not info["converged"]]
+    if bad:
+        hit_max = sum(info.get("stop_reason") == "max_iter" for info in bad)
+        log.warning(
+            "iteration %d: waveform relaxation not converged on %d of %d intervals: "
+            "%d hit max_iter, %d diverged (largest final residual %.3e)",
+            iteration, len(bad), len(infos), hit_max, len(bad) - hit_max,
+            max(info["residuals"][-1] for info in bad),
+        )
+    imag = max((info.get("imag_residue", 0.0) for info in infos), default=0.0)
+    if imag > 1e-9:
+        log.warning("iteration %d: all-at-once imaginary residue %.3e above 1e-9", iteration, imag)
+
+
 def check_stop(prev: np.ndarray, new: np.ndarray, epsilon: float) -> tuple[float, bool]:
     diff = max_state_diff(prev, new)
     return diff, diff < epsilon
@@ -184,9 +187,9 @@ def run_parareal(
 
     The correction sweep reuses the coarse values computed while building
     the previous iterate (for iteration 1, the initial sweep itself), so
-    each iteration costs one batched fine call plus N new coarse solves.
-    After N iterations the endpoints coincide with the purely sequential
-    fine solution by construction.
+    each iteration costs the fine solves of the unsettled intervals plus N
+    new coarse solves. After N iterations the endpoints coincide with the
+    purely sequential fine solution by construction.
     """
     tg = config.time_grid
     n_int = tg.n_intervals
@@ -216,9 +219,10 @@ def run_parareal(
             or fine_inputs[n][1] != states[n].t
             or not np.array_equal(fine_inputs[n][0], rows[n])
         ]
-        for n, out in zip(stale, fine.propagate_many([states[n] for n in stale])):
-            fine_inputs[n], fine_outputs[n] = (rows[n], states[n].t), out
+        for n in stale:
+            fine_inputs[n], fine_outputs[n] = (rows[n], states[n].t), fine.propagate(states[n])
         fine_seconds.append(time.perf_counter() - tic)
+        warn_fine_sweep(iterations, [fine_outputs[n][1] for n in stale])
         fresh = set(stale)
         fine_info.append([
             info if n in fresh else {"converged": info["converged"], "reused": True}

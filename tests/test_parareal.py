@@ -84,28 +84,6 @@ def test_exactness_holds_for_all_at_once_kind(channel_pipeline):
     assert np.array_equal(run.history[-1], np.array(expected))
 
 
-def test_batched_fine_matches_solo_bitwise(channel_pipeline):
-    """One propagate_many over all intervals gives every interval the final
-    state and residual list of its solo propagate, bit for bit."""
-    pipe = channel_pipeline
-    tg = TimeGrid(pipe.config.t_end, 6, 4)
-    props = SplitPropagators(pipe.space.system, pipe.loads)
-    initial = SplitState.fresh(np.zeros(pipe.space.d1), np.zeros(pipe.space.d2))
-    starts = initial_sweep(props, initial, tg)[:-1]
-    for fine_kind in ("all-at-once", "sequential"):
-        cfg = ParerealConfig(time_grid=tg, alpha=0.5, fine_kind=fine_kind, fine_tol=1e-13)
-        fine = build_fine_propagator(cfg, props, pipe.loads)
-        batched = fine.propagate_many(starts)
-        assert len(batched) == len(starts)
-        for start, (fin, info) in zip(starts, batched):
-            solo_fin, solo_info = fine.propagate(start)
-            assert np.array_equal(fin.stacked(), solo_fin.stacked())
-            assert np.array_equal(fin.u_prev, solo_fin.u_prev)
-            assert np.array_equal(fin.w_prev, solo_fin.w_prev)
-            assert info == solo_info
-        assert fine.propagate_many([]) == []
-
-
 def reference_parareal(props, fine, initial, tg, iterations):
     """Textbook parareal: every interval's fine solve recomputed each iteration."""
     d1 = props.system.d1
@@ -136,14 +114,14 @@ def test_settled_intervals_reuse_fine_solves(channel_pipeline, fine_kind):
     cfg = ParerealConfig(time_grid=tg, alpha=0.5, epsilon=0.0, k_max=k,
                          fine_kind=fine_kind, fine_tol=1e-13)
     fine = build_fine_propagator(cfg, props, pipe.loads)
-    batch_sizes = []
-    propagate_many = fine.propagate_many
+    calls = []
+    propagate = fine.propagate
 
-    def counted(states):
-        batch_sizes.append(len(states))
-        return propagate_many(states)
+    def counted(state):
+        calls.append(state.t)
+        return propagate(state)
 
-    fine.propagate_many = counted
+    fine.propagate = counted
     initial = SplitState.fresh(np.zeros(pipe.space.d1), np.zeros(pipe.space.d2))
     run = run_parareal(cfg, props, fine, initial)
     assert run.iterations == k
@@ -153,14 +131,13 @@ def test_settled_intervals_reuse_fine_solves(channel_pipeline, fine_kind):
         np.array_equal(h[i][m], h[i - 1][m]) for i in range(1, k) for m in range(n)
     )
     assert settled > 0
-    assert len(batch_sizes) == k
-    assert sum(batch_sizes) == n * k - settled
+    assert len(calls) == n * k - settled
     real = [info for sweep in run.fine_info for info in sweep if not info.get("reused")]
     reused = [info for sweep in run.fine_info for info in sweep if info.get("reused")]
     assert len(real) == n * k - settled and len(reused) == settled
     assert all(info.keys() == {"converged", "reused"} for info in reused)
 
-    fine.propagate_many = propagate_many
+    fine.propagate = propagate
     expected = reference_parareal(props, fine, initial, tg, k)
     assert len(expected) == len(h)
     for a, b in zip(h, expected):
@@ -222,14 +199,14 @@ def test_wr_warnings_combined_per_iteration(channel_pipeline, caplog):
             channel_pipeline, n=4, substeps=8, fine_kind="all-at-once",
             k_max=3, epsilon=0.0, fine_tol=1e-13, fine_max_iter=2,
         )
-    # one warning per iteration whose batched solve left intervals unconverged
+    # one warning per iteration whose fine solves left intervals unconverged
     failing = [
         k for k, sweep in enumerate(run.fine_info, start=1)
         if any(not info["converged"] and not info.get("reused") for info in sweep)
     ]
-    wr_warnings = [rec for rec in caplog.records if rec.name == "paradiff.allatonce"]
+    wr_warnings = [rec for rec in caplog.records if "not converged" in rec.message]
     assert failing and len(wr_warnings) == len(failing)
-    assert all("not converged on" in rec.message for rec in wr_warnings)
+    assert [rec.message.split(":")[0] for rec in wr_warnings] == [f"iteration {k}" for k in failing]
 
 
 def test_unknown_fine_kind_rejected(channel_pipeline):

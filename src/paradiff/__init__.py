@@ -15,7 +15,6 @@ from .allatonce import (
     apply_S,
     apply_S_inverse,
     build_rhs,
-    build_time_matrix,
     wr_fine_solve,
 )
 from .experiment import (
@@ -47,14 +46,11 @@ from .fem import (
     reference_solve,
 )
 from .msbasis import (
-    AuxSpace,
     BlockBasis,
     CoarsePartition,
     CoarseSystem,
     ContinuumDecomposition,
     MultiscaleSpace,
-    aux_eigen_cem,
-    build_cem_basis,
     build_coarse_partition,
     build_multiscale_space,
     build_nlmc_basis,
@@ -83,6 +79,7 @@ from .stepping import (
     TimeGrid,
     project_initial,
     split_energy,
+    w_modes,
 )
 
 __version__ = "0.1.0"

@@ -28,10 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft
-from scipy.linalg import eigh
 
 from .msbasis import CoarseSystem
-from .stepping import ConstantLoads, SplitState, SplitTrajectory
+from .stepping import ConstantLoads, SplitState, SplitTrajectory, w_modes
 
 log = logging.getLogger(__name__)
 
@@ -68,10 +67,6 @@ class TimeMatrixB:
         """Diagonal of Lambda: alpha^{-s/M} for s = 0..M-1."""
         m = self.substeps
         return self.alpha ** (-np.arange(m) / m)
-
-
-def build_time_matrix(substeps: int, dt: float, alpha: float) -> TimeMatrixB:
-    return TimeMatrixB(substeps, dt, alpha)
 
 
 def _lam(alpha: float, m: int, ndim: int) -> np.ndarray:
@@ -238,10 +233,7 @@ class WaveformRelaxation:
         # into z_s = mu z_{s-1} + h_s per mode, mu = 1 - dt lam, h = dt V^T r.
         # Over the window z_s = mu^s z_0 + sum_{j<=s} mu^{s-j} h_j: per mode a
         # lower-triangular Toeplitz matrix of powers of mu, (d2, M, M) in all.
-        if system.d2:
-            lam, self.modes = eigh(system.A22, system.M22)
-        else:
-            lam, self.modes = np.zeros(0), np.zeros((0, 0))
+        lam, self.modes = w_modes(system)
         self.mu = 1.0 - self.dt * lam
         powers = self.mu[:, None] ** np.arange(substeps + 1)
         lag = np.subtract.outer(np.arange(substeps), np.arange(substeps))
@@ -252,16 +244,6 @@ class WaveformRelaxation:
         self._m12_t = np.ascontiguousarray((system.M12 @ self.modes).T)
         self._a12_dt_t = np.ascontiguousarray(self.dt * (system.A12 @ self.modes).T)
 
-    def _load_rows(self, t0: float) -> tuple[np.ndarray, np.ndarray]:
-        """Loads at substeps 1..M, shapes (M, d1) and (M, d2)."""
-        if getattr(self.loads, "constant", False):
-            f1, f2 = self.loads.at(t0)
-            return np.tile(f1, (self.substeps, 1)), np.tile(f2, (self.substeps, 1))
-        pairs = [self.loads.at(t) for t in t0 + self.dt * np.arange(1, self.substeps + 1)]
-        f1 = np.array([p[0] for p in pairs]).reshape(self.substeps, self.system.d1)
-        f2 = np.array([p[1] for p in pairs]).reshape(self.substeps, self.system.d2)
-        return f1, f2
-
     def _sweep_z(self, h_t: np.ndarray) -> np.ndarray:
         """sum_{j<=s} mu^{s-j} h_j for every substep s; h_t and the result are (d2, M)."""
         return (self._unroll @ h_t[:, :, None])[:, :, 0]
@@ -270,7 +252,8 @@ class WaveformRelaxation:
         """Treats state as an interval start: lag values reset to (u, w)."""
         s, m = self.system, self.substeps
         u0, w0, t0 = state.u, state.w, state.t
-        f1_rows, f2_rows = self._load_rows(t0)
+        f1_rows = np.tile(self.loads.f1, (m, 1))
+        f2_rows = np.tile(self.loads.f2, (m, 1))
         # z = V^T M22 w as two products: the square product M22 V gives
         # different bits at different BLAS thread counts
         z0 = (w0 @ self.system.M22) @ self.modes

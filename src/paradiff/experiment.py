@@ -16,8 +16,7 @@ reruns.
 from __future__ import annotations
 
 import configparser
-import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -36,10 +35,8 @@ from .fem import (
 )
 from .msbasis import MultiscaleSpace, build_multiscale_space, project_load, subspace_angle
 from .parareal import ParerealConfig, ParerealRun, build_fine_propagator, run_parareal
-from .stepping import ConstantLoads, SplitPropagators, SplitState, TimeGrid, project_initial
+from .stepping import ConstantLoads, SplitPropagators, TimeGrid, project_initial
 from .util import save_matrix_txt, write_csv
-
-log = logging.getLogger(__name__)
 
 
 class ConfigError(ValueError):
@@ -70,15 +67,30 @@ class ExperimentConfig:
     epsilon: float = 1e-14
     fine_kind: str = "all-at-once"
     k_max: int = 100
-    basis_workers: int = 1
     compute_reference: bool = True
     export_solution: bool = True
 
     def validate(self) -> "ExperimentConfig":
+        """Raise ConfigError unless every field is in range; the comparisons
+        are written so that NaN fails them."""
+        if not (self.nx >= 2 and self.blocks >= 1):
+            raise ConfigError(f"need nx >= 2 and blocks >= 1, got nx={self.nx} blocks={self.blocks}")
         if self.nx % self.blocks != 0:
             raise ConfigError(f"blocks={self.blocks} must divide nx={self.nx}")
+        if not self.layers >= 0:
+            raise ConfigError(f"layers must be >= 0, got {self.layers}")
+        if not (self.background > 0 and self.contrast >= 1):
+            raise ConfigError(
+                f"need background > 0 and contrast >= 1, got {self.background} and {self.contrast}"
+            )
+        if not self.t_end > 0:
+            raise ConfigError(f"t_end must be > 0, got {self.t_end}")
         if not 0 < self.alpha < 1:
             raise ConfigError(f"alpha must lie in (0,1), got {self.alpha}")
+        if not self.epsilon >= 0:
+            raise ConfigError(f"epsilon must be >= 0, got {self.epsilon}")
+        if not self.k_max >= 1:
+            raise ConfigError(f"k_max must be >= 1, got {self.k_max}")
         if self.fine_kind not in ("all-at-once", "sequential"):
             raise ConfigError(f"unknown fine_kind {self.fine_kind!r}")
         for c in self.channels:
@@ -91,8 +103,21 @@ class ExperimentConfig:
             raise ConfigError(f"unknown source kind {self.source_kind!r}")
         if self.source_kind != "constant" and self.source_region is None:
             raise ConfigError(f"source kind {self.source_kind!r} needs a region")
+        r = self.source_region
+        if self.source_kind == "box" and not (
+            len(r) == 4 and 0 <= r[0] < r[1] <= 1 and 0 <= r[2] < r[3] <= 1
+        ):
+            raise ConfigError(f"box source region {r} must be x0:x1, y0:y1 ordered inside [0,1]^2")
+        if self.source_kind == "point" and not (
+            len(r) == 2 and 0 <= r[0] < self.nx and 0 <= r[1] < self.nx
+        ):
+            raise ConfigError(f"point source cell {r} must be cx, cy inside the {self.nx}x{self.nx} grid")
         if not self.n_values:
             raise ConfigError("n_values is empty")
+        if not (min(self.n_values) >= 1 and self.substeps >= 0):
+            raise ConfigError(
+                f"need every N >= 1 and substeps >= 0, got {self.n_values} and {self.substeps}"
+            )
         return self
 
     def to_source(self) -> SourceSpec:
@@ -175,7 +200,6 @@ def config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
             cfg.epsilon = p.getfloat("epsilon", cfg.epsilon)
             cfg.fine_kind = p.get("fine_kind", cfg.fine_kind).strip()
             cfg.k_max = p.getint("k_max", cfg.k_max)
-            cfg.basis_workers = p.getint("basis_workers", cfg.basis_workers)
         if parser.has_section("output"):
             o = parser["output"]
             cfg.compute_reference = o.getboolean("reference", cfg.compute_reference)
@@ -216,7 +240,6 @@ def config_to_parser(cfg: ExperimentConfig) -> configparser.ConfigParser:
         "epsilon": repr(cfg.epsilon),
         "fine_kind": cfg.fine_kind,
         "k_max": str(cfg.k_max),
-        "basis_workers": str(cfg.basis_workers),
     }
     parser["output"] = {
         "reference": str(cfg.compute_reference),
@@ -310,7 +333,7 @@ def build_pipeline(cfg: ExperimentConfig) -> Pipeline:
     except ValueError as exc:
         raise ExperimentError("assembly", str(exc)) from exc
     try:
-        space = build_multiscale_space(ops, cfg.blocks, cfg.layers, workers=cfg.basis_workers)
+        space = build_multiscale_space(ops, cfg.blocks, cfg.layers)
     except RuntimeError as exc:
         raise ExperimentError("basis", str(exc)) from exc
     b = ops.load(cfg.to_source())
@@ -343,7 +366,10 @@ def run_single(pipe: Pipeline, n: int) -> RunResult:
     propagators = SplitPropagators(pipe.space.system, pipe.loads)
     bound = propagators.stability_max_step()
     if tg.dt_sub > bound:
-        log.warning("N=%d substep %.3e exceeds stability bound %.3e", n, tg.dt_sub, bound)
+        raise ExperimentError(
+            f"stability N={n}",
+            f"substep {tg.dt_sub:.3e} exceeds the explicit stability bound {bound:.3e}",
+        )
     pconfig = ParerealConfig(
         time_grid=tg,
         alpha=cfg.alpha,
@@ -393,6 +419,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
         for n in cfg.n_values:
             try:
                 results.append(run_single(pipe, n))
+            except ExperimentError:
+                raise
             except (ValueError, np.linalg.LinAlgError, RuntimeError) as exc:
                 raise ExperimentError(f"run N={n}", str(exc)) from exc
         try:

@@ -63,6 +63,12 @@ class FineGrid:
         ix = np.arange(1, self.nx)
         iy = np.arange(1, self.ny)
         self.interior = (iy[:, None] * (self.nx + 1) + ix[None, :]).ravel()
+        cells = np.arange(self.n_cells)
+        n00 = (cells // self.nx) * (self.nx + 1) + cells % self.nx
+        self._connectivity = np.stack(
+            [n00, n00 + 1, n00 + self.nx + 2, n00 + self.nx + 1], axis=1
+        )
+        self._connectivity.flags.writeable = False
 
     @property
     def n_nodes(self) -> int:
@@ -77,12 +83,12 @@ class FineGrid:
         return (self.nx - 1) * (self.ny - 1)
 
     def cell_connectivity(self) -> np.ndarray:
-        """(n_cells, 4) node indices per cell in (SW, SE, NE, NW) order."""
-        cells = np.arange(self.n_cells)
-        cx = cells % self.nx
-        cy = cells // self.nx
-        n00 = cy * (self.nx + 1) + cx
-        return np.stack([n00, n00 + 1, n00 + self.nx + 2, n00 + self.nx + 1], axis=1)
+        """(n_cells, 4) node indices per cell in (SW, SE, NE, NW) order, read-only.
+
+        Built once per grid: basis construction indexes it once per
+        continuum constraint.
+        """
+        return self._connectivity
 
     def node_coords(self) -> np.ndarray:
         """(n_nodes, 2) coordinates in row-major node order."""
@@ -213,33 +219,16 @@ def assemble_stiffness(grid: FineGrid, kappa: np.ndarray) -> sp.csr_matrix:
     return _assemble(grid, np.asarray(kappa, dtype=float), STIFF_REF)
 
 
-def assemble_mass(grid: FineGrid, weights: np.ndarray | None = None) -> sp.csr_matrix:
-    """Full-node consistent mass, optionally weighted by a cell-wise factor."""
-    w = np.ones(grid.n_cells) if weights is None else np.asarray(weights, dtype=float)
-    return _assemble(grid, w * grid.h**2, MASS_REF)
+def assemble_mass(grid: FineGrid) -> sp.csr_matrix:
+    """Full-node consistent mass."""
+    return _assemble(grid, np.full(grid.n_cells, grid.h**2), MASS_REF)
 
 
-def assemble_mass_on_cells(grid: FineGrid, cells: np.ndarray, weights: np.ndarray | None = None) -> sp.csr_matrix:
-    """Consistent mass restricted to a cell subset (zero elsewhere), full node numbering."""
-    w = np.ones(grid.n_cells) if weights is None else np.asarray(weights, dtype=float)
-    data = np.zeros(grid.n_cells)
-    data[cells] = w[cells] * grid.h**2
-    return _assemble(grid, data, MASS_REF)
-
-
-def assemble_stiffness_on_cells(grid: FineGrid, kappa: np.ndarray, cells: np.ndarray) -> sp.csr_matrix:
-    """Stiffness restricted to a cell subset (zero elsewhere), full node numbering."""
-    data = np.zeros(grid.n_cells)
-    data[cells] = np.asarray(kappa, dtype=float)[cells]
-    return _assemble(grid, data, STIFF_REF)
-
-
-def assemble_load(grid: FineGrid, source: SourceSpec, t: float = 0.0) -> np.ndarray:
+def assemble_load(grid: FineGrid, source: SourceSpec) -> np.ndarray:
     """Consistent load vector on all nodes; exact for cell-wise constant f.
 
     The integral of each bilinear shape function over one cell is h^2/4, so a
-    cell with value f contributes f*h^2/4 to each of its four corners. The
-    source is constant in time; t is accepted for interface uniformity.
+    cell with value f contributes f*h^2/4 to each of its four corners.
     """
     f_cells = source.cell_values(grid)
     b = np.zeros(grid.n_nodes)
@@ -254,20 +243,19 @@ def assemble_load(grid: FineGrid, source: SourceSpec, t: float = 0.0) -> np.ndar
 class FineOperators:
     """Assembled fine-scale operators.
 
-    full_* act on all nodes (no boundary condition); M and A act on interior
-    nodes only, ordered by grid.interior. The load method returns the
-    interior part of the consistent load vector.
+    full_stiffness acts on all nodes (no boundary condition); M and A act on
+    interior nodes only, ordered by grid.interior. The load method returns
+    the interior part of the consistent load vector.
     """
 
     grid: FineGrid
     field: PermeabilityField
-    full_mass: sp.csr_matrix
     full_stiffness: sp.csr_matrix
     M: sp.csr_matrix
     A: sp.csr_matrix
 
-    def load(self, source: SourceSpec, t: float = 0.0) -> np.ndarray:
-        return assemble_load(self.grid, source, t)[self.grid.interior]
+    def load(self, source: SourceSpec) -> np.ndarray:
+        return assemble_load(self.grid, source)[self.grid.interior]
 
     def norm(self, v: np.ndarray) -> float:
         """Discrete L2 norm sqrt(v^T M v) over interior nodes."""
@@ -282,7 +270,6 @@ def assemble_fine(grid: FineGrid, field: PermeabilityField) -> FineOperators:
     return FineOperators(
         grid=grid,
         field=field,
-        full_mass=full_m,
         full_stiffness=full_a,
         M=full_m[idx][:, idx].tocsr(),
         A=full_a[idx][:, idx].tocsr(),

@@ -1,13 +1,10 @@
 """Coarse multiscale spaces for high-contrast diffusion.
 
-Builds localized basis functions on oversampled coarse blocks in two ways:
-
-* NLMC: per coarse block, one basis function per continuum (the background
-  matrix region plus each connected channel component inside the block),
-  obtained by minimizing energy subject to prescribed cell-set averages on
-  every block of the oversampled patch.
-* CEM: per coarse block, auxiliary spectral functions from a local
-  generalized eigenproblem, extended by constrained energy minimization.
+Builds NLMC basis functions on oversampled coarse blocks: per coarse
+block, one basis function per continuum (the background matrix region plus
+each connected channel component inside the block), obtained by minimizing
+energy subject to prescribed cell-set averages on every block of the
+oversampled patch.
 
 The NLMC set is then split into two subspaces: V_H1 holds the
 mean-subtracted channel bases (the stiff directions integrated implicitly)
@@ -21,7 +18,7 @@ principal angle between the subspaces in the fine mass inner product
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -29,15 +26,7 @@ import scipy.sparse as sp
 from scipy.ndimage import label as nd_label
 from scipy.sparse.linalg import splu
 
-from .fem import (
-    FineGrid,
-    FineOperators,
-    PermeabilityField,
-    assemble_mass,
-    assemble_mass_on_cells,
-    assemble_stiffness_on_cells,
-)
-from .util import parallel_map
+from .fem import FineGrid, FineOperators, PermeabilityField
 
 log = logging.getLogger(__name__)
 
@@ -252,148 +241,6 @@ def build_nlmc_basis(
     return BlockBasis(block, comps, np.array(cols).T, worst)
 
 
-@dataclass
-class AuxSpace:
-    """Spectral auxiliary functions of one block (CEM pathway)."""
-
-    block: int
-    node_ids: np.ndarray
-    eigenvalues: np.ndarray
-    vectors: np.ndarray  # (n_block_nodes, n_eig), s-orthonormal
-    weight: str
-
-
-def _kappa_tilde(partition: CoarsePartition, field: PermeabilityField, weight: str) -> np.ndarray:
-    """Cell-wise weight for the auxiliary bilinear form s."""
-    if weight == "kappa_h2":
-        return field.kappa * partition.nb**2
-    if weight == "pou":
-        # sum over the coarse bilinear hat functions of |grad chi|^2 at the
-        # cell center: 2[(1-xi)^2 + xi^2 + (1-eta)^2 + eta^2]/H^2 in local
-        # coarse-cell coordinates (xi, eta)
-        grid = partition.grid
-        centers = grid.cell_centers()
-        xi = np.mod(centers[:, 0], partition.H) / partition.H
-        eta = np.mod(centers[:, 1], partition.H) / partition.H
-        s = 2.0 * ((1 - xi) ** 2 + xi**2 + (1 - eta) ** 2 + eta**2)
-        return field.kappa * s * partition.nb**2
-    raise ValueError(f"unknown aux weight {weight!r}")
-
-
-def _block_free_nodes(partition: CoarsePartition, block: int) -> np.ndarray:
-    """All nodes of the block rectangle except global Dirichlet boundary nodes."""
-    grid = partition.grid
-    x0, x1, y0, y1 = partition.block_rect(block)
-    ix = np.arange(x0, x1 + 1)
-    iy = np.arange(y0, y1 + 1)
-    nodes = (iy[:, None] * (grid.nx + 1) + ix[None, :]).ravel()
-    gx = nodes % (grid.nx + 1)
-    gy = nodes // (grid.nx + 1)
-    keep = (gx > 0) & (gx < grid.nx) & (gy > 0) & (gy < grid.ny)
-    return nodes[keep]
-
-
-def aux_eigen_cem(
-    partition: CoarsePartition,
-    ops: FineOperators,
-    field: PermeabilityField,
-    block: int,
-    n_eig: int,
-    weight: str = "kappa_h2",
-) -> AuxSpace:
-    """Smallest eigenpairs of a(psi, v) = lambda s(psi, v) on one block.
-
-    Both forms integrate over the block's cells only; the boundary of the
-    block is natural except where it meets the global Dirichlet boundary.
-    Eigenvectors come back s-orthonormal with a deterministic sign (largest
-    entry positive).
-    """
-    grid = partition.grid
-    cells = partition.block_cells(block)
-    nodes = _block_free_nodes(partition, block)
-    kt = _kappa_tilde(partition, field, weight)
-    a_blk = assemble_stiffness_on_cells(grid, field.kappa, cells)[nodes][:, nodes].toarray()
-    s_blk = assemble_mass_on_cells(grid, cells, weights=kt)[nodes][:, nodes].toarray()
-    if n_eig > nodes.size:
-        raise ValueError(f"requested {n_eig} eigenpairs, block has {nodes.size} nodes")
-    try:
-        vals, vecs = sla.eigh(a_blk, s_blk)
-    except sla.LinAlgError as exc:
-        raise RuntimeError(f"aux eigensolve failed on block {block}: {exc}") from exc
-    vals, vecs = vals[:n_eig], vecs[:, :n_eig]
-    for k in range(vecs.shape[1]):
-        lead = np.argmax(np.abs(vecs[:, k]))
-        if vecs[lead, k] < 0:
-            vecs[:, k] = -vecs[:, k]
-    return AuxSpace(block, nodes, vals, vecs, weight)
-
-
-def build_cem_basis(
-    partition: CoarsePartition,
-    ops: FineOperators,
-    field: PermeabilityField,
-    block: int,
-    n_eig: int,
-    weight: str = "kappa_h2",
-    aux_cache: dict | None = None,
-) -> BlockBasis:
-    """Constrained energy minimization basis of one block.
-
-    For each auxiliary eigenfunction of the block, minimizes the kappa-energy
-    on the oversampled patch subject to s-orthogonality against every
-    auxiliary function of every patch block, with unit s-product against the
-    target one. aux_cache maps block -> AuxSpace to share eigensolves.
-    """
-    grid = partition.grid
-    kt = _kappa_tilde(partition, field, weight)
-    pnodes = partition.patch_interior_nodes(block)
-    a_loc = _patch_stiffness(ops, pnodes)
-
-    def aux_for(j: int, k: int) -> AuxSpace:
-        if aux_cache is not None and j in aux_cache:
-            return aux_cache[j]
-        space = aux_eigen_cem(partition, ops, field, j, k, weight)
-        if aux_cache is not None:
-            aux_cache[j] = space
-        return space
-
-    rows, targets = [], {}
-    for j in partition.patch_blocks(block):
-        aux = aux_for(j, n_eig)
-        s_blk = assemble_mass_on_cells(grid, partition.block_cells(j), weights=kt)
-        weighted = s_blk[:, aux.node_ids] @ aux.vectors  # (n_nodes, n_eig)
-        for k in range(aux.vectors.shape[1]):
-            if j == block:
-                targets[k] = len(rows)
-            rows.append(weighted[pnodes, k])
-    c_mat = sp.csr_matrix(np.array(rows))
-    kkt = sp.bmat([[a_loc, c_mat.T], [c_mat, None]], format="csc")
-    try:
-        lu = splu(kkt)
-    except RuntimeError as exc:
-        raise RuntimeError(f"singular saddle system on block {block}: {exc}") from exc
-
-    n_loc = pnodes.size
-    inv_interior = np.full(grid.n_nodes, -1)
-    inv_interior[grid.interior] = np.arange(grid.n_interior)
-    local_to_interior = inv_interior[pnodes]
-    comps, cols, worst = [], [], 0.0
-    for k, row_id in sorted(targets.items()):
-        rhs = np.zeros(n_loc + len(rows))
-        rhs[n_loc + row_id] = 1.0
-        phi_loc = lu.solve(rhs)[:n_loc]
-        res = c_mat @ phi_loc
-        res[row_id] -= 1.0
-        worst = max(worst, float(np.abs(res).max()))
-        col = np.zeros(grid.n_interior)
-        col[local_to_interior] = phi_loc
-        comps.append(k)
-        cols.append(col)
-    if worst > 1e-8:
-        log.warning("block %d CEM constraint residual %.2e exceeds 1e-8", block, worst)
-    return BlockBasis(block, comps, np.array(cols).T, worst)
-
-
 @dataclass(frozen=True)
 class CoarseSystem:
     """Galerkin projections of the fine mass/stiffness onto the split basis."""
@@ -590,20 +437,11 @@ def subspace_angle(system: CoarseSystem | MultiscaleSpace) -> float:
     return float(sla.svdvals(y)[0])
 
 
-def build_multiscale_space(
-    ops: FineOperators,
-    nb: int,
-    layers: int = 3,
-    workers: int = 1,
-) -> MultiscaleSpace:
+def build_multiscale_space(ops: FineOperators, nb: int, layers: int = 3) -> MultiscaleSpace:
     """Full NLMC pipeline: partition, continua, block bases, split, projection."""
     partition = build_coarse_partition(ops.grid, nb, layers)
     decomp = detect_continua(partition, ops.field)
-    bases = parallel_map(
-        lambda b: build_nlmc_basis(partition, decomp, ops, b),
-        range(partition.n_blocks),
-        workers=workers,
-    )
+    bases = [build_nlmc_basis(partition, decomp, ops, b) for b in range(partition.n_blocks)]
     psi1, psi2, labels1, labels2 = split_spaces(decomp, bases, ops)
     system = project_coarse(psi1, psi2, ops)
     return MultiscaleSpace(

@@ -122,9 +122,6 @@ class ParerealRun:
     coarse_seconds: list[float] = field(default_factory=list)
     total_seconds: float = 0.0
 
-    def states_at(self, k: int = -1) -> np.ndarray:
-        return self.history[k]
-
     def endpoint(self, k: int = -1) -> tuple[np.ndarray, np.ndarray]:
         """(u, w) coefficients at t_end for iteration k."""
         row = self.history[k][-1]

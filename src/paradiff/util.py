@@ -1,36 +1,17 @@
-"""Small shared helpers: deterministic parallel map and plain-text exports."""
+"""Plain-text exports: full-precision matrices and CSV tables."""
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
-
-
-def parallel_map(fn, items, workers: int = 1) -> list:
-    """Map fn over items, optionally on a thread pool.
-
-    Results are merged in input order, so the output is independent of the
-    worker count. Each item must be computable independently (no shared
-    mutable state inside fn).
-    """
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def save_matrix_txt(path, array) -> None:
     """Write a matrix as plain text, one row per line, full precision."""
     arr = np.atleast_2d(np.asarray(array))
     np.savetxt(path, arr, fmt="%.17g")
-
-
-def load_matrix_txt(path) -> np.ndarray:
-    return np.atleast_2d(np.loadtxt(path))
 
 
 def write_csv(path, header: list[str], rows) -> None:

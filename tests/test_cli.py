@@ -105,6 +105,34 @@ def test_invalid_config_value(tmp_path, capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (["source.kind=point", "source.region=500, 5"], "point source cell"),
+        (["time.t_end=-1"], "t_end"),
+        (["parareal.k_max=0"], "k_max"),
+    ],
+)
+def test_out_of_range_value_exits_2(tmp_path, capsys, overrides, message):
+    out = tmp_path / "out"
+    args = ["run", "--config", config_file(tmp_path), "--out", str(out)]
+    for item in overrides:
+        args += ["--set", item]
+    assert cli.main(args) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_substep_above_stability_bound_exits_1(tmp_path, capsys):
+    rc = cli.main(
+        ["run", "--config", config_file(tmp_path), "--set", "time.t_end=10",
+         "--out", str(tmp_path / "out")]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "[stability N=3]" in err and "[run N=3]" not in err
+
+
 def test_stale_config_option_exits_2(tmp_path, capsys):
     path = tmp_path / "stale.ini"
     path.write_text("[parareal]\nalpha = 0.5\nworkers = 1\n")

@@ -16,9 +16,11 @@ from paradiff.experiment import (
     dump_config,
     example1_config,
     example2_config,
+    build_pipeline,
     load_config,
     relative_error,
     run_experiment,
+    run_single,
 )
 
 
@@ -112,7 +114,13 @@ def test_malformed_values_raise_config_error():
 
 @pytest.mark.parametrize(
     "section, option",
-    [("parareal", "workers"), ("parareal", "aplha"), ("grid", "nz"), ("solver", "tol")],
+    [
+        ("parareal", "workers"),
+        ("parareal", "aplha"),
+        ("grid", "nz"),
+        ("solver", "tol"),
+        ("parareal", "basis_workers"),
+    ],
 )
 def test_unknown_option_raises_config_error(section, option):
     parser = config_to_parser(example1_config())
@@ -196,6 +204,20 @@ def test_run_experiment_tags_failing_stage(monkeypatch, tmp_path):
         run_experiment(tiny_config(), tmp_path / "out")
     assert err.value.stage == "run N=3"
     assert "synthetic failure" in str(err.value)
+
+
+def test_substep_above_stability_bound_fails_with_one_stage_tag(tmp_path):
+    cfg = tiny_config(t_end=10.0)
+    with pytest.raises(ExperimentError) as err:
+        run_single(build_pipeline(cfg), 3)
+    assert err.value.stage == "stability N=3"
+    assert "exceeds the explicit stability bound" in str(err.value)
+    out = tmp_path / "out"
+    with pytest.raises(ExperimentError) as err:
+        run_experiment(cfg, out)
+    assert err.value.stage == "stability N=3"
+    assert str(err.value).startswith("[stability N=3] substep")
+    assert not any(out.iterdir())
 
 
 def test_run_single_error_series_tracks_iterations(tmp_path):

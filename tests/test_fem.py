@@ -10,9 +10,7 @@ from paradiff.fem import (
     assemble_fine,
     assemble_load,
     assemble_mass,
-    assemble_mass_on_cells,
     assemble_stiffness,
-    assemble_stiffness_on_cells,
     build_fine_grid,
     generate_field,
     node_values_on_grid,
@@ -92,21 +90,6 @@ def test_operators_symmetric_positive():
     v = np.sin(np.arange(grid.n_interior))
     assert v @ (ops.A @ v) > 0
     assert v @ (ops.M @ v) > 0
-
-
-def test_restricted_assembly_splits_domain():
-    grid = build_fine_grid(6)
-    kappa = np.arange(1.0, grid.n_cells + 1.0)
-    cells_a = np.arange(grid.n_cells // 2)
-    cells_b = np.arange(grid.n_cells // 2, grid.n_cells)
-    whole = assemble_stiffness(grid, kappa)
-    parts = assemble_stiffness_on_cells(grid, kappa, cells_a) + assemble_stiffness_on_cells(
-        grid, kappa, cells_b
-    )
-    assert np.abs((whole - parts).toarray()).max() < 1e-12
-    m_whole = assemble_mass(grid)
-    m_parts = assemble_mass_on_cells(grid, cells_a) + assemble_mass_on_cells(grid, cells_b)
-    assert np.abs((m_whole - m_parts).toarray()).max() < 1e-15
 
 
 def test_field_generation_values():

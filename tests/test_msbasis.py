@@ -6,8 +6,6 @@ import scipy.sparse as sp
 from paradiff.fem import Channel, assemble_fine, build_fine_grid, generate_field
 from paradiff.msbasis import (
     _average_row,
-    aux_eigen_cem,
-    build_cem_basis,
     build_coarse_partition,
     build_multiscale_space,
     build_nlmc_basis,
@@ -256,52 +254,3 @@ def test_reconstruct_is_linear_combination(channel_pipeline, rng):
     fine = space.reconstruct(u, w)
     assert np.allclose(fine, space.Psi1 @ u + space.Psi2 @ w)
 
-
-def test_aux_eigen_orthonormal():
-    ops = small_ops()
-    part = build_coarse_partition(ops.grid, 4, layers=1)
-    aux = aux_eigen_cem(part, ops, ops.field, block=5, n_eig=3)
-    assert np.all(np.diff(aux.eigenvalues) >= -1e-10)
-    assert aux.eigenvalues[0] >= -1e-8
-    from paradiff.fem import assemble_mass_on_cells
-    from paradiff.msbasis import _kappa_tilde
-
-    kt = _kappa_tilde(part, ops.field, "kappa_h2")
-    s_blk = assemble_mass_on_cells(ops.grid, part.block_cells(5), weights=kt)
-    s_loc = s_blk[aux.node_ids][:, aux.node_ids].toarray()
-    gram = aux.vectors.T @ s_loc @ aux.vectors
-    assert np.allclose(gram, np.eye(3), atol=1e-8)
-    lead = np.argmax(np.abs(aux.vectors[:, 0]))
-    assert aux.vectors[lead, 0] > 0
-
-
-def test_aux_eigen_pou_weight_runs():
-    ops = small_ops()
-    part = build_coarse_partition(ops.grid, 4, layers=1)
-    aux = aux_eigen_cem(part, ops, ops.field, block=2, n_eig=2, weight="pou")
-    assert aux.vectors.shape[1] == 2
-    with pytest.raises(ValueError):
-        aux_eigen_cem(part, ops, ops.field, block=2, n_eig=2, weight="nope")
-
-
-def test_cem_basis_constraints():
-    ops = small_ops(nx=8, channels=((1, 7, 3, 4),))
-    part = build_coarse_partition(ops.grid, 2, layers=1)
-    cache = {}
-    bb = build_cem_basis(part, ops, ops.field, block=0, n_eig=2, aux_cache=cache)
-    assert bb.constraint_residual <= 1e-8
-    assert bb.columns.shape == (ops.grid.n_interior, 2)
-    assert set(cache) == set(part.patch_blocks(0))
-    # s-products against every auxiliary function form a delta
-    from paradiff.fem import assemble_mass_on_cells
-    from paradiff.msbasis import _kappa_tilde
-
-    kt = _kappa_tilde(part, ops.field, "kappa_h2")
-    full = np.zeros((ops.grid.n_nodes, 2))
-    full[ops.grid.interior] = bb.columns
-    for j in part.patch_blocks(0):
-        aux = cache[j]
-        s_blk = assemble_mass_on_cells(ops.grid, part.block_cells(j), weights=kt)
-        prods = aux.vectors.T @ s_blk[aux.node_ids] @ full
-        want = np.eye(2) if j == 0 else np.zeros((2, 2))
-        assert np.abs(prods - want).max() <= 1e-8

@@ -216,14 +216,6 @@ def test_stability_bound_infinite_without_w():
     assert props.stability_max_step() == np.inf
 
 
-def test_check_substep_warns(caplog):
-    sysb = w_only_system(m=1.0, a=10.0)
-    props = SplitPropagators(sysb, ConstantLoads.zero(sysb))
-    with caplog.at_level("WARNING"):
-        props.check_substep(1.0)
-    assert any("stability bound" in rec.message for rec in caplog.records)
-
-
 def test_project_initial_recovers_representable_state(channel_pipeline, rng):
     space = channel_pipeline.space
     ops = channel_pipeline.ops

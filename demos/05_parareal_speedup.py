@@ -58,7 +58,7 @@ def costs(pipe, n):
     fine = build_fine_propagator(
         ParerealConfig(time_grid=tg, alpha=cfg.alpha, epsilon=cfg.epsilon,
                        k_max=cfg.k_max, fine_kind=cfg.fine_kind),
-        props, pipe.loads,
+        props,
     )
     starts = initial_sweep(props, initial, tg)[:-1]
     fine_s = max(timed(lambda: fine.propagate(s))[0] for s in starts)

@@ -16,9 +16,13 @@ The alpha-coupling to the last substep and the lagged w-terms are refreshed
 by waveform relaxation: alternate the all-at-once u-solve with a sequential
 w-sweep until the iterates stop moving. At the fixed point the pair
 reproduces the sequential partially explicit scheme on the same substep
-grid exactly. The w-sweep runs in the eigenbasis of the pencil (A22, M22),
-where its recurrence decouples per mode and unrolls over the window into
-one product with a lower-triangular Toeplitz matrix per mode.
+grid exactly. The w-sweep runs in the w-modes that `SplitPropagators`
+owns, the eigenbasis of the pencil (A22, M22): there its recurrence
+z <- (1 - dt lam) z + h decouples per mode and unrolls over the window into
+one product with a lower-triangular Toeplitz matrix per mode. The solver
+reads the modes and the modal couplings from the propagators, so the
+sequential and the all-at-once fine propagators step the same modal
+scheme.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 from scipy import fft
 
 from .msbasis import CoarseSystem
-from .stepping import ConstantLoads, SplitState, SplitTrajectory, w_modes
+from .stepping import ConstantLoads, SplitPropagators, SplitState, SplitTrajectory
 
 log = logging.getLogger(__name__)
 
@@ -93,7 +97,7 @@ class ImplicitAllAtOnce:
     every solve is then two FFTs and one matrix-vector product per substep.
     The back-substituted residual of the full system and the discarded
     imaginary residue of the last solve are conditioning guards, computed
-    when read.
+    when read; `WaveformRelaxation` reports only the imaginary residue.
     """
 
     def __init__(self, system: CoarseSystem, substeps: int, dt: float, alpha: float):
@@ -145,7 +149,6 @@ def build_rhs(
     f1_rows: np.ndarray,
     u_start: np.ndarray,
     w_start: np.ndarray,
-    w_lag: np.ndarray,
     w_rows_prev: np.ndarray,
     u_final_prev: np.ndarray,
     dt: float,
@@ -158,7 +161,7 @@ def build_rhs(
     adds M11 (u_0 - alpha u_M^{prev})/dt. The interval's initial w supplies
     w_0 and its lag w_{-1} = w_0.
     """
-    w_hist = np.concatenate((w_lag[None], w_start[None], w_rows_prev[:-1]))
+    w_hist = np.concatenate((w_start[None], w_start[None], w_rows_prev[:-1]))
     dw = (w_hist[1:] - w_hist[:-1]) / dt
     rhs = f1_rows - dw @ system.M12.T - w_hist[1:] @ system.A12.T
     rhs[0] += system.M11 @ (u_start - alpha * u_final_prev) / dt
@@ -172,8 +175,7 @@ class WRResult:
     iterations: int
     converged: bool
     stop_reason: str
-    solver_residual: float = 0.0  # guards of the last u-solve
-    imag_residue: float = 0.0
+    imag_residue: float = 0.0  # guard of the last u-solve
 
 
 def _max_row_norm(x: np.ndarray) -> float:
@@ -202,47 +204,46 @@ def _stop_reason(residuals: list[float], tol: float) -> str | None:
 class WaveformRelaxation:
     """Alternating u all-at-once / w sweep solver for one coarse interval.
 
-    Seeds: the w iterate is the constant extension of the interval's initial
-    w, the previous final u equals the initial u. Stops by `_stop_reason` on
-    the combined max-over-substeps update, or flagged non-converged at
-    max_iter. The result carries the flags and the guards; the caller
-    reports them (`wr_fine_solve` warns per solve, parareal per iteration).
+    Built on the propagators of the system: their loads, w-modes and modal
+    couplings. Seeds: the w iterate is the constant extension of the
+    interval's initial w, the previous final u equals the initial u. Stops
+    by `_stop_reason` on the combined max-over-substeps update, or flagged
+    non-converged at max_iter. The result carries the flags and the guard;
+    the caller reports them (`wr_fine_solve` warns per solve, parareal per
+    iteration).
     """
 
     def __init__(
         self,
-        system: CoarseSystem,
+        propagators: SplitPropagators,
         substeps: int,
         dt_interval: float,
         alpha: float,
-        loads: ConstantLoads,
         tol: float = 1e-12,
-        max_iter: int = 50,
+        max_iter: int = 400,
     ):
-        self.system = system
+        self.propagators = propagators
         self.substeps = substeps
         self.dt_interval = dt_interval
         self.dt = dt_interval / substeps
         self.alpha = alpha
-        self.loads = loads
         self.tol = tol
         self.max_iter = max_iter
-        self.implicit = ImplicitAllAtOnce(system, substeps, self.dt, alpha)
-        # w = V z with A22 V = M22 V diag(lam) and V^T M22 V = I turns the
-        # explicit step w_s = (I - dt M22^{-1} A22) w_{s-1} + dt M22^{-1} r_s
-        # into z_s = mu z_{s-1} + h_s per mode, mu = 1 - dt lam, h = dt V^T r.
-        # Over the window z_s = mu^s z_0 + sum_{j<=s} mu^{s-j} h_j: per mode a
-        # lower-triangular Toeplitz matrix of powers of mu, (d2, M, M) in all.
-        lam, self.modes = w_modes(system)
-        self.mu = 1.0 - self.dt * lam
+        self.implicit = ImplicitAllAtOnce(propagators.system, substeps, self.dt, alpha)
+        # in the modes the w-step is z_s = mu z_{s-1} + h_s, mu = 1 - dt lam
+        # (`SplitPropagators.split_step`). Over the window z_s = mu^s z_0 +
+        # sum_{j<=s} mu^{s-j} h_j: per mode a lower-triangular Toeplitz matrix
+        # of powers of mu, (d2, M, M) in all.
+        self.modes = propagators.modes
+        self.mu = 1.0 - self.dt * propagators.lam
         powers = self.mu[:, None] ** np.arange(substeps + 1)
         lag = np.subtract.outer(np.arange(substeps), np.arange(substeps))
         self._unroll = np.ascontiguousarray(
             np.where(lag >= 0, powers[:, np.maximum(lag, 0)], 0.0)
         )
         self._z0_gain = powers[:, 1:]
-        self._m12_t = np.ascontiguousarray((system.M12 @ self.modes).T)
-        self._a12_dt_t = np.ascontiguousarray(self.dt * (system.A12 @ self.modes).T)
+        self._m12_t = propagators.m12_modes_t
+        self._a12_dt_t = self.dt * propagators.a12_modes_t
 
     def _sweep_z(self, h_t: np.ndarray) -> np.ndarray:
         """sum_{j<=s} mu^{s-j} h_j for every substep s; h_t and the result are (d2, M)."""
@@ -250,13 +251,11 @@ class WaveformRelaxation:
 
     def solve(self, state: SplitState) -> WRResult:
         """Treats state as an interval start: lag values reset to (u, w)."""
-        s, m = self.system, self.substeps
+        props, m = self.propagators, self.substeps
         u0, w0, t0 = state.u, state.w, state.t
-        f1_rows = np.tile(self.loads.f1, (m, 1))
-        f2_rows = np.tile(self.loads.f2, (m, 1))
-        # z = V^T M22 w as two products: the square product M22 V gives
-        # different bits at different BLAS thread counts
-        z0 = (w0 @ self.system.M22) @ self.modes
+        f1_rows = np.tile(props.loads.f1, (m, 1))
+        f2_rows = np.tile(props.loads.f2, (m, 1))
+        z0 = props.to_modes(w0)
         # the part of the w-sweep that does not depend on the u iterate
         z_base = self._sweep_z(self.dt * (f2_rows @ self.modes).T) + self._z0_gain * z0[:, None]
 
@@ -265,7 +264,7 @@ class WaveformRelaxation:
         residuals: list[float] = []
         reason = None
         while reason is None and len(residuals) < self.max_iter:
-            rhs = build_rhs(s, f1_rows, u0, w0, w0, w_rows, u_rows[-1], self.dt, self.alpha)
+            rhs = build_rhs(props.system, f1_rows, u0, w0, w_rows, u_rows[-1], self.dt, self.alpha)
             u_new = self.implicit.solve(rhs)
             # minus the u-driven part of h: V^T (M21 (u_s - u_{s-1}) + dt A21 u_s),
             # with the lag u_{-1} = u_0
@@ -278,13 +277,7 @@ class WaveformRelaxation:
 
         full_u = np.vstack([u0, u_rows])
         full_w = np.vstack([w0, w_rows])
-        final = SplitState(
-            u=full_u[-1].copy(),
-            w=full_w[-1].copy(),
-            u_prev=full_u[-2].copy(),
-            w_prev=full_w[-2].copy(),
-            t=t0 + self.dt_interval,
-        )
+        final = SplitState(full_u[-1].copy(), full_w[-1].copy(), t0 + self.dt_interval)
         reason = reason or "max_iter"
         return WRResult(
             trajectory=SplitTrajectory(t0 + self.dt * np.arange(m + 1), full_u, full_w, final),
@@ -292,7 +285,6 @@ class WaveformRelaxation:
             iterations=len(residuals),
             converged=reason in ("tol", "floor"),
             stop_reason=reason,
-            solver_residual=self.implicit.last_residual,
             imag_residue=self.implicit.last_imag_residue,
         )
 
@@ -309,7 +301,8 @@ def wr_fine_solve(
 ) -> WRResult:
     """One-shot waveform-relaxation solve of a single coarse interval; warns
     if it did not converge or if a u-solve's imaginary residue exceeded 1e-9."""
-    wr = WaveformRelaxation(system, substeps, dt_interval, alpha, loads, tol, max_iter)
+    props = SplitPropagators(system, loads)
+    wr = WaveformRelaxation(props, substeps, dt_interval, alpha, tol, max_iter)
     res = wr.solve(state)
     if not res.converged:
         log.warning(

@@ -377,7 +377,7 @@ def run_single(pipe: Pipeline, n: int) -> RunResult:
         k_max=cfg.k_max,
         fine_kind=cfg.fine_kind,
     )
-    fine = build_fine_propagator(pconfig, propagators, pipe.loads)
+    fine = build_fine_propagator(pconfig, propagators)
     initial = project_initial(np.zeros(pipe.grid.n_interior), pipe.space, pipe.ops)
     run = run_parareal(pconfig, propagators, fine, initial)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .allatonce import WaveformRelaxation
-from .stepping import ConstantLoads, SplitPropagators, SplitState, TimeGrid
+from .stepping import SplitPropagators, SplitState, TimeGrid
 
 log = logging.getLogger(__name__)
 
@@ -35,14 +35,14 @@ class ParerealConfig:
     epsilon: float = 1e-14
     k_max: int = 100
     fine_kind: str = "all-at-once"
-    fine_max_iter: int = 400
     fine_tol: float | None = None
 
     def resolved_fine_tol(self) -> float:
         """Keep the inner solver's accuracy below the outer stopping regime.
 
         Floored at 1e-14: asking the inner iteration for updates below
-        round-off just drives it into its max_iter cap.
+        round-off just drives it into its max_iter cap (the
+        `WaveformRelaxation` default).
         """
         if self.fine_tol is not None:
             return self.fine_tol
@@ -84,23 +84,13 @@ class AllAtOnceFine:
         }
 
 
-def build_fine_propagator(
-    config: ParerealConfig,
-    propagators: SplitPropagators,
-    loads: ConstantLoads,
-):
+def build_fine_propagator(config: ParerealConfig, propagators: SplitPropagators):
     tg = config.time_grid
     if config.fine_kind == "sequential":
         return SequentialFine(propagators, tg)
     if config.fine_kind == "all-at-once":
         wr = WaveformRelaxation(
-            propagators.system,
-            tg.substeps,
-            tg.dt,
-            config.alpha,
-            loads,
-            tol=config.resolved_fine_tol(),
-            max_iter=config.fine_max_iter,
+            propagators, tg.substeps, tg.dt, config.alpha, tol=config.resolved_fine_tol()
         )
         return AllAtOnceFine(wr)
     raise ValueError(f"unknown fine propagator kind {config.fine_kind!r}")

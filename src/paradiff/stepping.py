@@ -2,18 +2,20 @@
 
 The coefficient pair (u, w) in V_H1 x V_H2 advances by a two-step scheme:
 u is implicit in its own stiffness block while all w coupling lags behind
-explicitly, then w advances with a mass solve only, its stiffness treated
-explicitly. The u-equation uses the backward difference of w from the two
-previous levels and vice versa, so each step needs one lagged state; at the
-start of every coarse interval the lags are initialized to the interval's
-initial values, which makes the interval propagators pure functions of
+explicitly, then w advances explicitly in the eigenbasis of the pencil
+(A22, M22) (`w_modes`). With w = V z, A22 V = M22 V diag(lam) and
+V^T M22 V = I, the w-step needs no solve: z <- (1 - dt lam) z + h, mode by
+mode, with h the modal load and u coupling. The u-equation uses the
+backward difference of w from the two previous levels and vice versa, so
+each step needs one lagged level; the fine interval propagator starts that
+lag at the interval's initial values, which makes it a pure function of
 (u, w).
 
 A coupled one-step solve over both components serves as the cheap coarse
 propagator for parareal. The explicit treatment of the w-stiffness imposes
-the step bound dt <= 2 / lambda_max(M22^{-1} A22). The eigenpairs of the
-pencil (A22, M22) (`w_modes`) give that bound exactly, and the
-waveform-relaxation w-sweep runs in their basis.
+the step bound dt <= 2 / lambda_max(M22^{-1} A22) = 2 / lam[-1]. The modes
+are computed once per `SplitPropagators` and shared by the sequential step,
+the stability bound and the waveform-relaxation w-sweep.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh, lu_factor, lu_solve
+from scipy.linalg import cho_factor, eigh, lu_factor, lu_solve
+from scipy.linalg.lapack import dpotrs
 
 from .fem import FineOperators
 from .msbasis import CoarseSystem, MultiscaleSpace
@@ -29,20 +32,16 @@ from .msbasis import CoarseSystem, MultiscaleSpace
 
 @dataclass
 class SplitState:
-    """Coarse coefficients at one time level plus the lagged previous level."""
+    """Coarse coefficients (u, w) at time t."""
 
     u: np.ndarray
     w: np.ndarray
-    u_prev: np.ndarray
-    w_prev: np.ndarray
     t: float
 
     @classmethod
     def fresh(cls, u: np.ndarray, w: np.ndarray, t: float = 0.0) -> "SplitState":
-        """State with lag values equal to the current ones (interval start)."""
-        u = np.asarray(u, dtype=float)
-        w = np.asarray(w, dtype=float)
-        return cls(u.copy(), w.copy(), u.copy(), w.copy(), t)
+        """State holding float copies of u and w."""
+        return cls(np.array(u, dtype=float), np.array(w, dtype=float), t)
 
     def stacked(self) -> np.ndarray:
         return np.concatenate([self.u, self.w])
@@ -106,16 +105,29 @@ class SplitTrajectory:
 class SplitPropagators:
     """Fine (multi-substep) and coarse (one-step) propagators for one system.
 
-    Factorizations are cached per step size, so repeated parareal sweeps pay
-    only back-substitutions.
+    Owns the w-modes (lam, modes) of the system and the couplings of u to
+    them, M12 V and A12 V with their contiguous transposes; the
+    waveform-relaxation solver reads them from here. Factorizations are
+    cached per step size, so repeated parareal sweeps pay only
+    back-substitutions.
     """
 
     def __init__(self, system: CoarseSystem, loads: ConstantLoads):
         self.system = system
         self.loads = loads
+        self.lam, self.modes = w_modes(system)
+        self.m12_modes = system.M12 @ self.modes
+        self.a12_modes = system.A12 @ self.modes
+        self.m12_modes_t = np.ascontiguousarray(self.m12_modes.T)
+        self.a12_modes_t = np.ascontiguousarray(self.a12_modes.T)
+        self._f2_modes = loads.f2 @ self.modes
         self._u_chol: dict[float, tuple] = {}
         self._g_lu: dict[float, tuple] = {}
-        self._m22_chol = cho_factor(system.M22) if system.d2 else None
+
+    def to_modes(self, w: np.ndarray) -> np.ndarray:
+        """z = V^T M22 w, as two products: the square product M22 V gives
+        different bits at different BLAS thread counts."""
+        return (w @ self.system.M22) @ self.modes
 
     def _u_factor(self, dt: float):
         if dt not in self._u_chol:
@@ -123,32 +135,32 @@ class SplitPropagators:
             self._u_chol[dt] = cho_factor(s.M11 / dt + s.A11)
         return self._u_chol[dt]
 
-    def split_step(self, state: SplitState, dt: float) -> SplitState:
-        """One substep of the partially explicit scheme."""
-        s = self.system
-        f1, f2 = self.loads.f1, self.loads.f2
-        if s.d1:
+    def split_step(
+        self, u: np.ndarray, z: np.ndarray, u_prev: np.ndarray, z_prev: np.ndarray, dt: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(u_new, z_new) after one substep, w in modes z = V^T M22 w.
+
+        (M11/dt + A11) u_new = M11 u/dt - M12 V (z - z_prev)/dt - A12 V z + f1,
+        then z_new = (1 - dt lam) z + dt V^T (f2 - A21 u_new) - V^T M21 (u - u_prev).
+        """
+        if self.system.d1:
             rhs_u = (
-                s.M11 @ state.u / dt
-                - s.M12 @ (state.w - state.w_prev) / dt
-                - s.A12 @ state.w
-                + f1
+                self.system.M11 @ u / dt
+                - self.m12_modes @ (z - z_prev) / dt
+                - self.a12_modes @ z
+                + self.loads.f1
             )
-            u_new = cho_solve(self._u_factor(dt), rhs_u)
+            # LAPACK potrs, which cho_solve wraps in checks that cost more than the solve
+            c, lower = self._u_factor(dt)
+            u_new = dpotrs(c, rhs_u, lower=lower)[0]
         else:
-            u_new = state.u.copy()
-        if s.d2:
-            rhs_w = (
-                s.M22 @ state.w / dt
-                - s.M12.T @ (state.u - state.u_prev) / dt
-                - s.A12.T @ u_new
-                - s.A22 @ state.w
-                + f2
-            )
-            w_new = cho_solve(self._m22_chol, dt * rhs_w)
-        else:
-            w_new = state.w.copy()
-        return SplitState(u_new, w_new, state.u.copy(), state.w.copy(), state.t + dt)
+            u_new = u
+        z_new = (
+            (1.0 - dt * self.lam) * z
+            + dt * (self._f2_modes - self.a12_modes_t @ u_new)
+            - self.m12_modes_t @ (u - u_prev)
+        )
+        return u_new, z_new
 
     def _g_factor(self, dt: float):
         if dt not in self._g_lu:
@@ -177,34 +189,38 @@ class SplitPropagators:
             ]
         )
         sol = lu_solve(self._g_factor(dt), rhs)
-        return SplitState(sol[: s.d1], sol[s.d1 :], state.u.copy(), state.w.copy(), state.t + dt)
+        return SplitState(sol[: s.d1], sol[s.d1 :], state.t + dt)
 
     def fine_interval(self, state: SplitState, dt_interval: float, substeps: int) -> SplitTrajectory:
-        """Advance one coarse interval with substeps split steps, lags reset."""
-        cur = SplitState.fresh(state.u, state.w, state.t)
+        """Advance one coarse interval with substeps split steps.
+
+        The lag level starts at the interval's initial values. w goes into
+        modes once before the loop and the substep levels come back in one
+        product after it; W[0] is the initial w itself.
+        """
         dt = dt_interval / substeps
-        us = [cur.u.copy()]
-        ws = [cur.w.copy()]
+        us, zs = [state.u] * 2, [self.to_modes(state.w)] * 2
         for _ in range(substeps):
-            cur = self.split_step(cur, dt)
-            us.append(cur.u.copy())
-            ws.append(cur.w.copy())
-        times = state.t + dt * np.arange(substeps + 1)
-        return SplitTrajectory(times, np.array(us), np.array(ws), cur)
+            u, z = self.split_step(us[-1], zs[-1], us[-2], zs[-2], dt)
+            us.append(u)
+            zs.append(z)
+        U = np.array(us[1:])
+        W = np.array(zs[1:]) @ self.modes.T
+        W[0] = state.w
+        final = SplitState(U[-1].copy(), W[-1].copy(), state.t + dt_interval)
+        return SplitTrajectory(state.t + dt * np.arange(substeps + 1), U, W, final)
 
     def stability_max_step(self) -> float:
         """Largest stable substep 2 / lambda_max(M22^{-1} A22); inf without a stiff w-part."""
-        lam = w_modes(self.system)[0]
-        if lam.size == 0 or lam[-1] <= 0.0:
+        if self.lam.size == 0 or self.lam[-1] <= 0.0:
             return np.inf
-        return 2.0 / float(lam[-1])
+        return 2.0 / float(self.lam[-1])
 
 
 def project_initial(u0_fine: np.ndarray, space: MultiscaleSpace, ops: FineOperators) -> SplitState:
     """Mass-orthogonal projection of a fine initial value onto each subspace.
 
-    Solves M11 u = Psi1^T M_fine u0 and M22 w = Psi2^T M_fine u0; lag values
-    are set equal to the projections.
+    Solves M11 u = Psi1^T M_fine u0 and M22 w = Psi2^T M_fine u0.
     """
     s = space.system
     mu0 = ops.M @ np.asarray(u0_fine, dtype=float)

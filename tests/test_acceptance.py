@@ -59,9 +59,9 @@ def test_endpoint_matches_sequential_fine_after_n_iterations(channel_pipeline):
     for kind in ("sequential", "all-at-once"):
         pconf = ParerealConfig(
             time_grid=tg, alpha=0.5, epsilon=0.0, k_max=10, fine_kind=kind,
-            fine_tol=1e-13, fine_max_iter=400,
+            fine_tol=1e-13,
         )
-        fine = build_fine_propagator(pconf, props, channel_pipeline.loads)
+        fine = build_fine_propagator(pconf, props)
         run = run_parareal(pconf, props, fine, initial)
         assert run.iterations == 10
 

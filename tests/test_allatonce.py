@@ -112,13 +112,12 @@ def test_build_rhs_hand_values():
         f1_rows,
         u_start=np.array([1.0]),
         w_start=np.array([2.0]),
-        w_lag=np.array([2.0]),
         w_rows_prev=np.array([[2.5], [3.0]]),
         u_final_prev=np.array([0.9]),
         dt=0.1,
         alpha=0.3,
     )
-    # row 0: f - M12*(w0 - w_lag)/dt - A12*w0 + M11*(u0 - alpha*u_prev)/dt
+    # row 0: f - M12*(w0 - w0)/dt - A12*w0 + M11*(u0 - alpha*u_prev)/dt
     #      = 0.2 - 0 - 0.8 + 2*0.73/0.1 = 14.0
     # row 1: f - M12*(w1 - w0)/dt - A12*w1 = 0.2 - 2.5 - 1.0 = -3.3
     assert np.allclose(rhs, [[14.0], [-3.3]], atol=1e-13)
@@ -208,7 +207,7 @@ def test_wr_residual_floor_stop():
     sysb = synthetic_low_gamma_system()
     loads = ConstantLoads(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     state = SplitState.fresh(np.zeros(2), np.zeros(2))
-    wr = WaveformRelaxation(sysb, 8, 0.01, 0.1, loads, tol=1e-18, max_iter=500)
+    wr = WaveformRelaxation(SplitPropagators(sysb, loads), 8, 0.01, 0.1, tol=1e-18, max_iter=500)
     res = wr.solve(state)
     # a tolerance below round-off still terminates cleanly: either the
     # iterates go bitwise stationary (residual exactly zero) or the floor

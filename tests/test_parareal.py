@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from paradiff.allatonce import WaveformRelaxation
 from paradiff.msbasis import CoarseSystem
 from paradiff.parareal import (
+    AllAtOnceFine,
     ParerealConfig,
     build_fine_propagator,
     initial_sweep,
@@ -21,14 +23,20 @@ def scalar_system(a=6.0):
 
 
 def make_run(pipe, *, n=6, substeps=4, fine_kind="sequential",
-             epsilon=1e-14, k_max=100, alpha=0.5, fine_tol=None, fine_max_iter=400):
+             epsilon=1e-14, k_max=100, alpha=0.5, fine_tol=None, wr_max_iter=None):
+    """Parareal on pipe; wr_max_iter caps an all-at-once fine solver built by hand."""
     tg = TimeGrid(pipe.config.t_end, n, substeps)
     props = SplitPropagators(pipe.space.system, pipe.loads)
     cfg = ParerealConfig(
         time_grid=tg, alpha=alpha, epsilon=epsilon, k_max=k_max,
-        fine_kind=fine_kind, fine_tol=fine_tol, fine_max_iter=fine_max_iter,
+        fine_kind=fine_kind, fine_tol=fine_tol,
     )
-    fine = build_fine_propagator(cfg, props, pipe.loads)
+    if wr_max_iter is None:
+        fine = build_fine_propagator(cfg, props)
+    else:
+        fine = AllAtOnceFine(WaveformRelaxation(
+            props, substeps, tg.dt, alpha, tol=cfg.resolved_fine_tol(), max_iter=wr_max_iter,
+        ))
     initial = SplitState.fresh(np.zeros(pipe.space.d1), np.zeros(pipe.space.d2))
     return run_parareal(cfg, props, fine, initial), fine, props, tg
 
@@ -113,7 +121,7 @@ def test_settled_intervals_reuse_fine_solves(channel_pipeline, fine_kind):
     props = SplitPropagators(pipe.space.system, pipe.loads)
     cfg = ParerealConfig(time_grid=tg, alpha=0.5, epsilon=0.0, k_max=k,
                          fine_kind=fine_kind, fine_tol=1e-13)
-    fine = build_fine_propagator(cfg, props, pipe.loads)
+    fine = build_fine_propagator(cfg, props)
     calls = []
     propagate = fine.propagate
 
@@ -151,7 +159,7 @@ def test_scalar_closed_form_solution():
     props = SplitPropagators(sysb, loads)
     tg = TimeGrid(t_end, 8, 16)
     cfg = ParerealConfig(time_grid=tg, alpha=0.5, epsilon=1e-15, k_max=50)
-    fine = build_fine_propagator(cfg, props, loads)
+    fine = build_fine_propagator(cfg, props)
     run = run_parareal(cfg, props, fine, SplitState.fresh(np.array([1.0]), np.zeros(0)))
     assert run.converged
     kappa = 1.0 / (1.0 + tg.dt_sub * a)
@@ -185,7 +193,7 @@ def test_wr_nonconverged_pairs_reported(channel_pipeline, caplog):
     with caplog.at_level("WARNING"):
         run, *_ = make_run(
             channel_pipeline, n=3, substeps=8, fine_kind="all-at-once",
-            k_max=2, epsilon=0.0, fine_tol=1e-13, fine_max_iter=2,
+            k_max=2, epsilon=0.0, fine_tol=1e-13, wr_max_iter=2,
         )
     bad = run.wr_nonconverged()
     assert bad
@@ -197,7 +205,7 @@ def test_wr_warnings_combined_per_iteration(channel_pipeline, caplog):
     with caplog.at_level("WARNING"):
         run, *_ = make_run(
             channel_pipeline, n=4, substeps=8, fine_kind="all-at-once",
-            k_max=3, epsilon=0.0, fine_tol=1e-13, fine_max_iter=2,
+            k_max=3, epsilon=0.0, fine_tol=1e-13, wr_max_iter=2,
         )
     # one warning per iteration whose fine solves left intervals unconverged
     failing = [
@@ -215,7 +223,7 @@ def test_unknown_fine_kind_rejected(channel_pipeline):
     props = SplitPropagators(pipe.space.system, pipe.loads)
     cfg = ParerealConfig(time_grid=tg, alpha=0.5, fine_kind="magic")
     with pytest.raises(ValueError):
-        build_fine_propagator(cfg, props, pipe.loads)
+        build_fine_propagator(cfg, props)
 
 
 def test_resolved_fine_tol_tracks_epsilon(channel_pipeline):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from paradiff import stepping
 from paradiff.msbasis import CoarseSystem
+from paradiff.parareal import ParerealConfig, build_fine_propagator
 from paradiff.stepping import (
     ConstantLoads,
     SplitPropagators,
@@ -64,8 +66,8 @@ def test_split_state_fresh_copies():
     w = np.array([2.0])
     st = SplitState.fresh(u, w, t=0.3)
     u[0] = 99.0
-    assert st.u[0] == 1.0 and st.u_prev[0] == 1.0
-    assert st.w_prev[0] == 2.0 and st.t == 0.3
+    assert st.u[0] == 1.0
+    assert st.t == 0.3
     assert np.array_equal(st.stacked(), [1.0, 2.0])
 
 
@@ -74,32 +76,26 @@ def test_split_step_matches_written_formulas():
     loads = ConstantLoads(np.array([0.3]), np.array([-0.2]))
     props = SplitPropagators(sysb, loads)
     dt = 0.01
-    state = SplitState(
-        u=np.array([1.0]), w=np.array([2.0]),
-        u_prev=np.array([0.8]), w_prev=np.array([1.5]), t=0.0,
-    )
-    out = props.split_step(state, dt)
+    u, w = np.array([1.0]), np.array([2.0])
+    u_prev, w_prev = np.array([0.8]), np.array([1.5])
+    # w = V z with V^T M22 V = I, so z = V^T M22 w
+    to_modes = lambda x: props.modes.T @ sysb.M22 @ x
+    u_out, z_out = props.split_step(u, to_modes(w), u_prev, to_modes(w_prev), dt)
+    w_out = props.modes @ z_out
     # u implicit in A11, all w terms lagged with a backward difference
-    rhs_u = (
-        sysb.M11 @ state.u / dt
-        - sysb.M12 @ (state.w - state.w_prev) / dt
-        - sysb.A12 @ state.w
-        + loads.f1
-    )
+    rhs_u = sysb.M11 @ u / dt - sysb.M12 @ (w - w_prev) / dt - sysb.A12 @ w + loads.f1
     u_new = np.linalg.solve(sysb.M11 / dt + sysb.A11, rhs_u)
     # w mass solve with explicit stiffness and the new u in the cross term
     rhs_w = (
-        sysb.M22 @ state.w / dt
-        - sysb.M12.T @ (state.u - state.u_prev) / dt
+        sysb.M22 @ w / dt
+        - sysb.M12.T @ (u - u_prev) / dt
         - sysb.A12.T @ u_new
-        - sysb.A22 @ state.w
+        - sysb.A22 @ w
         + loads.f2
     )
     w_new = np.linalg.solve(sysb.M22 / dt, rhs_w)
-    assert np.allclose(out.u, u_new, rtol=1e-14)
-    assert np.allclose(out.w, w_new, rtol=1e-14)
-    assert out.u_prev[0] == state.u[0] and out.w_prev[0] == state.w[0]
-    assert np.isclose(out.t, dt)
+    assert np.allclose(u_out, u_new, rtol=1e-14)
+    assert np.allclose(w_out, w_new, rtol=1e-14)
 
 
 def test_coarse_step_solves_coupled_system():
@@ -210,6 +206,27 @@ def test_stability_bound_is_sharp_for_pure_w():
     assert amplitude(1.05 * bound) > 10.0
 
 
+def test_one_eigh_serves_wr_and_stability_bound(channel_pipeline, monkeypatch):
+    calls = []
+    real_eigh = stepping.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(args)
+        return real_eigh(*args, **kwargs)
+
+    monkeypatch.setattr(stepping, "eigh", counting_eigh)
+    pipe = channel_pipeline
+    props = SplitPropagators(pipe.space.system, pipe.loads)
+    cfg = ParerealConfig(time_grid=TimeGrid(pipe.config.t_end, 2, 4), alpha=0.5)
+    fine = build_fine_propagator(cfg, props)
+    bound = props.stability_max_step()
+    fine.propagate(SplitState.fresh(np.zeros(pipe.space.d1), np.zeros(pipe.space.d2)))
+    assert len(calls) == 1
+    assert fine.wr.propagators is props and fine.wr.modes is props.modes
+    assert bound == 2.0 / props.lam[-1]
+    assert np.array_equal(fine.wr.mu, 1.0 - fine.wr.dt * props.lam)
+
+
 def test_stability_bound_infinite_without_w():
     sysb = u_only_system()
     props = SplitPropagators(sysb, ConstantLoads.zero(sysb))
@@ -229,7 +246,6 @@ def test_project_initial_recovers_representable_state(channel_pipeline, rng):
     zero = project_initial(np.zeros(ops.grid.n_interior), space, ops)
     assert np.abs(zero.stacked()).max() == 0.0
     assert st.t == 0.0
-    assert np.array_equal(st.u, st.u_prev)
     # each block solve reproduces the corresponding mass moments
     assert np.allclose(space.system.M11 @ st.u, space.Psi1.T @ (ops.M @ fine), rtol=1e-10)
     assert np.allclose(space.system.M22 @ st.w, space.Psi2.T @ (ops.M @ fine), rtol=1e-10)

@@ -19,7 +19,7 @@ import logging
 import numpy as np
 from scipy.linalg import eigh
 
-from paradiff.allatonce import wr_fine_solve
+from paradiff.allatonce import WaveformRelaxation
 from paradiff.experiment import ExperimentConfig, build_pipeline
 from paradiff.stepping import SplitPropagators, SplitState
 
@@ -45,7 +45,8 @@ def main():
     logging.basicConfig(level=logging.ERROR)
     pipe = build_pipeline(demo_config())
     system = pipe.space.system
-    bound = SplitPropagators(system, pipe.loads).stability_max_step()
+    props = SplitPropagators(system, pipe.loads)
+    bound = props.stability_max_step()
     lam_min = float(eigh(system.A11, system.M11, eigvals_only=True)[0])
     print("d1 = %d, d2 = %d, gamma = %.4f (gamma^2 = %.3f)"
           % (pipe.space.d1, pipe.space.d2, pipe.gamma, pipe.gamma**2))
@@ -63,8 +64,8 @@ def main():
     for dt_int in (5e-4, 2.5e-3, 5e-3, 1e-2):
         cells = []
         for a in alphas:
-            res = wr_fine_solve(system, state, dt_int, m, a, pipe.loads,
-                                tol=1e-12, max_iter=5000)
+            wr = WaveformRelaxation(props, m, dt_int, a, tol=1e-12, max_iter=5000)
+            res = wr.solve(state)
             if res.converged:
                 cells.append("%6d  (%6.3f)" % (res.iterations, tail_ratio(res.residuals)))
             else:

@@ -15,7 +15,6 @@ from .allatonce import (
     apply_S,
     apply_S_inverse,
     build_rhs,
-    wr_fine_solve,
 )
 from .experiment import (
     ConfigError,

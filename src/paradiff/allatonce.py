@@ -22,21 +22,19 @@ z <- (1 - dt lam) z + h decouples per mode and unrolls over the window into
 one product with a lower-triangular Toeplitz matrix per mode. The solver
 reads the modes and the modal couplings from the propagators, so the
 sequential and the all-at-once fine propagators step the same modal
-scheme.
+scheme. Every caller, parareal and the check subcommand alike, builds one
+`WaveformRelaxation` from the propagators and calls its `solve`.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft
 
 from .msbasis import CoarseSystem
-from .stepping import ConstantLoads, SplitPropagators, SplitState, SplitTrajectory
-
-log = logging.getLogger(__name__)
+from .stepping import SplitPropagators, SplitState, SplitTrajectory
 
 
 @dataclass(frozen=True)
@@ -208,9 +206,10 @@ class WaveformRelaxation:
     couplings. Seeds: the w iterate is the constant extension of the
     interval's initial w, the previous final u equals the initial u. Stops
     by `_stop_reason` on the combined max-over-substeps update, or flagged
-    non-converged at max_iter. The result carries the flags and the guard;
-    the caller reports them (`wr_fine_solve` warns per solve, parareal per
-    iteration).
+    non-converged at max_iter. The default tol, 1e-14, is the one the
+    parareal pipeline uses for both shipped configs. The result carries the
+    flags and the guard and logs nothing; `parareal.warn_fine_sweep` reports
+    them, once per parareal iteration.
     """
 
     def __init__(
@@ -219,7 +218,7 @@ class WaveformRelaxation:
         substeps: int,
         dt_interval: float,
         alpha: float,
-        tol: float = 1e-12,
+        tol: float = 1e-14,
         max_iter: int = 400,
     ):
         self.propagators = propagators
@@ -287,29 +286,3 @@ class WaveformRelaxation:
             stop_reason=reason,
             imag_residue=self.implicit.last_imag_residue,
         )
-
-
-def wr_fine_solve(
-    system: CoarseSystem,
-    state: SplitState,
-    dt_interval: float,
-    substeps: int,
-    alpha: float,
-    loads: ConstantLoads,
-    tol: float = 1e-12,
-    max_iter: int = 400,
-) -> WRResult:
-    """One-shot waveform-relaxation solve of a single coarse interval; warns
-    if it did not converge or if a u-solve's imaginary residue exceeded 1e-9."""
-    props = SplitPropagators(system, loads)
-    wr = WaveformRelaxation(props, substeps, dt_interval, alpha, tol, max_iter)
-    res = wr.solve(state)
-    if not res.converged:
-        log.warning(
-            "waveform relaxation %s after %d sweeps (residual %.3e)",
-            "diverged" if res.stop_reason == "diverged" else "not converged",
-            res.iterations, res.residuals[-1],
-        )
-    if res.imag_residue > 1e-9:
-        log.warning("all-at-once imaginary residue %.3e above 1e-9", res.imag_residue)
-    return res

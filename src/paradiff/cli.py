@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiment as expmod
-from .allatonce import TimeMatrixB, apply_S, apply_S_inverse, wr_fine_solve
+from .allatonce import TimeMatrixB, WaveformRelaxation, apply_S, apply_S_inverse
 from .experiment import (
     ConfigError,
     ExperimentError,
@@ -34,8 +34,8 @@ from .experiment import (
     config_to_parser,
     example1_config,
     run_experiment,
+    run_single,
 )
-from .parareal import ParerealConfig, build_fine_propagator, run_parareal
 from .stepping import SplitPropagators, project_initial
 from .util import save_matrix_txt
 
@@ -117,7 +117,7 @@ def cmd_basis(args) -> int:
 def run_checks(cfg) -> list[tuple[str, bool, str]]:
     """Invariant diagnostics used by the check subcommand."""
     checks: list[tuple[str, bool, str]] = []
-    pipe = build_pipeline(cfg)
+    pipe = build_pipeline(replace(cfg, compute_reference=False))
     space = pipe.space
 
     res = space.constraint_residual
@@ -141,18 +141,9 @@ def run_checks(cfg) -> list[tuple[str, bool, str]]:
 
     n = cfg.n_values[0]
     tg = cfg.time_grid(n)
-    propagators = SplitPropagators(space.system, pipe.loads)
-    pconf = ParerealConfig(
-        time_grid=tg, alpha=cfg.alpha, epsilon=cfg.epsilon, k_max=cfg.k_max,
-        fine_kind=cfg.fine_kind, fine_tol=1e-13,
-    )
-    initial = project_initial(np.zeros(pipe.grid.n_interior), space, pipe.ops)
-    # reusing the fine solves of settled intervals is exact only if the fine
-    # propagator is deterministic
-    runs = [
-        run_parareal(pconf, propagators, build_fine_propagator(pconf, propagators), initial)
-        for _ in range(2)
-    ]
+    # the pipeline's own runs, without the reference: reusing the fine solves
+    # of settled intervals is exact only if the fine propagator is deterministic
+    runs = [run_single(pipe, n).run for _ in range(2)]
     same = len(runs[0].history) == len(runs[1].history) and all(
         np.array_equal(a, b) for a, b in zip(runs[0].history, runs[1].history)
     )
@@ -174,7 +165,9 @@ def run_checks(cfg) -> list[tuple[str, bool, str]]:
         ("diagonalization S D S^-1 = B (<= 1e-10 rel)", worst <= 1e-10, f"max {worst:.2e}")
     )
 
-    wr = wr_fine_solve(space.system, initial, tg.dt, tg.substeps, cfg.alpha, pipe.loads)
+    propagators = SplitPropagators(space.system, pipe.loads)
+    initial = project_initial(np.zeros(pipe.grid.n_interior), space, pipe.ops)
+    wr = WaveformRelaxation(propagators, tg.substeps, tg.dt, cfg.alpha).solve(initial)
     seq = propagators.fine_interval(initial, tg.dt, tg.substeps)
     gap = np.linalg.norm(wr.trajectory.final.stacked() - seq.final.stacked())
     scale = 1.0 + np.linalg.norm(seq.final.stacked())

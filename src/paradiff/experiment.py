@@ -16,6 +16,7 @@ reruns.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -71,8 +72,11 @@ class ExperimentConfig:
     export_solution: bool = True
 
     def validate(self) -> "ExperimentConfig":
-        """Raise ConfigError unless every field is in range; the comparisons
-        are written so that NaN fails them."""
+        """Raise ConfigError unless every field is finite and in range; the
+        comparisons are written so that NaN fails them."""
+        for name in ("background", "contrast", "source_amplitude", "t_end", "epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.nx >= 2 and self.blocks >= 1):
             raise ConfigError(f"need nx >= 2 and blocks >= 1, got nx={self.nx} blocks={self.blocks}")
         if self.nx % self.blocks != 0:
@@ -380,6 +384,18 @@ def run_single(pipe: Pipeline, n: int) -> RunResult:
     fine = build_fine_propagator(pconfig, propagators)
     initial = project_initial(np.zeros(pipe.grid.n_interior), pipe.space, pipe.ops)
     run = run_parareal(pconfig, propagators, fine, initial)
+    # a diverged fine solve anywhere, or an unconverged one behind the final
+    # endpoints, leaves the result meaningless
+    diverged = sum(
+        info.get("stop_reason") == "diverged" for sweep in run.fine_info for info in sweep
+    )
+    unconverged = [i for i, info in enumerate(run.fine_info[-1]) if not info["converged"]]
+    if diverged or unconverged:
+        raise ExperimentError(
+            f"fine N={n}",
+            f"waveform relaxation: {diverged} fine solves diverged; unconverged "
+            f"fine solves behind the final endpoints on intervals {unconverged}",
+        )
 
     ref_final = None
     err = float("nan")

@@ -6,12 +6,14 @@ Iteration k produces states x_n^k at the interval endpoints via
 
 where G is the coupled one-step coarse solve and F propagates one interval
 with the fine substep scheme, either sequentially or through the
-waveform-relaxation all-at-once solver. Each iteration applies F only to
-the intervals whose input changed: an interval whose input equals, bit for
-bit, the input of its last fine solve reuses that solve's output, which is
-exact because F is deterministic. At iteration k that holds for intervals
-0..k-2. The loop stops when the largest Euclidean update over the stacked
-(u, w) endpoint coefficients drops below epsilon, or at k_max.
+waveform-relaxation all-at-once solver, whose tolerance follows from
+epsilon alone. Each iteration applies F only to the intervals whose input
+changed: an interval whose row in the latest iterate equals, bit for bit,
+its row in the one before reuses its stored fine output, which is exact
+because F is deterministic and an interval's start time is the same float
+at every iteration. At iteration k that holds for intervals 0..k-2. The
+loop stops when the largest Euclidean update over the stacked (u, w)
+endpoint coefficients drops below epsilon, or at k_max.
 """
 
 from __future__ import annotations
@@ -35,24 +37,10 @@ class ParerealConfig:
     epsilon: float = 1e-14
     k_max: int = 100
     fine_kind: str = "all-at-once"
-    fine_tol: float | None = None
-
-    def resolved_fine_tol(self) -> float:
-        """Keep the inner solver's accuracy below the outer stopping regime.
-
-        Floored at 1e-14: asking the inner iteration for updates below
-        round-off just drives it into its max_iter cap (the
-        `WaveformRelaxation` default).
-        """
-        if self.fine_tol is not None:
-            return self.fine_tol
-        return min(1e-12, max(0.01 * self.epsilon, 1e-14))
 
 
 class SequentialFine:
     """Fine propagator: M substeps of the splitting scheme, run sequentially."""
-
-    kind = "sequential"
 
     def __init__(self, propagators: SplitPropagators, time_grid: TimeGrid):
         self.propagators = propagators
@@ -67,8 +55,6 @@ class SequentialFine:
 
 class AllAtOnceFine:
     """Fine propagator backed by the waveform-relaxation all-at-once solver."""
-
-    kind = "all-at-once"
 
     def __init__(self, wr: WaveformRelaxation):
         self.wr = wr
@@ -89,10 +75,10 @@ def build_fine_propagator(config: ParerealConfig, propagators: SplitPropagators)
     if config.fine_kind == "sequential":
         return SequentialFine(propagators, tg)
     if config.fine_kind == "all-at-once":
-        wr = WaveformRelaxation(
-            propagators, tg.substeps, tg.dt, config.alpha, tol=config.resolved_fine_tol()
-        )
-        return AllAtOnceFine(wr)
+        # WR below the outer stopping regime, but not below round-off, where
+        # it would only run into its max_iter cap
+        tol = min(1e-12, max(0.01 * config.epsilon, 1e-14))
+        return AllAtOnceFine(WaveformRelaxation(propagators, tg.substeps, tg.dt, config.alpha, tol))
     raise ValueError(f"unknown fine propagator kind {config.fine_kind!r}")
 
 
@@ -190,8 +176,7 @@ def run_parareal(
     fine_info: list[list[dict]] = []
     fine_seconds: list[float] = []
     coarse_seconds: list[float] = []
-    # per interval: (input row, input time) and (output, info) of its last fine solve
-    fine_inputs: list[tuple[np.ndarray, float] | None] = [None] * n_int
+    # per interval: (output, info) of its last fine solve
     fine_outputs: list[tuple[SplitState, dict] | None] = [None] * n_int
     converged = False
     iterations = 0
@@ -199,15 +184,13 @@ def run_parareal(
     for _ in range(config.k_max):
         iterations += 1
         tic = time.perf_counter()
-        rows = history[-1]
+        # the input of a stored output is the interval's row in history[-2]
         stale = [
             n for n in range(n_int)
-            if fine_inputs[n] is None
-            or fine_inputs[n][1] != states[n].t
-            or not np.array_equal(fine_inputs[n][0], rows[n])
+            if fine_outputs[n] is None or not np.array_equal(history[-1][n], history[-2][n])
         ]
         for n in stale:
-            fine_inputs[n], fine_outputs[n] = (rows[n], states[n].t), fine.propagate(states[n])
+            fine_outputs[n] = fine.propagate(states[n])
         fine_seconds.append(time.perf_counter() - tic)
         warn_fine_sweep(iterations, [fine_outputs[n][1] for n in stale])
         fresh = set(stale)

@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, eigh, lu_factor, lu_solve
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg import cho_factor, eigh, lu_factor
+from scipy.linalg.lapack import dgetrs, dpotrs
 
 from .fem import FineOperators
 from .msbasis import CoarseSystem, MultiscaleSpace
@@ -188,7 +188,9 @@ class SplitPropagators:
                 f2 + s.M12.T @ state.u / dt + s.M22 @ state.w / dt - s.A22 @ state.w,
             ]
         )
-        sol = lu_solve(self._g_factor(dt), rhs)
+        # LAPACK getrs, which lu_solve wraps in checks that cost more than the solve
+        lu, piv = self._g_factor(dt)
+        sol = dgetrs(lu, piv, rhs)[0]
         return SplitState(sol[: s.d1], sol[s.d1 :], state.t + dt)
 
     def fine_interval(self, state: SplitState, dt_interval: float, substeps: int) -> SplitTrajectory:

@@ -15,9 +15,9 @@ import paradiff.cli as cli
 from paradiff.allatonce import (
     ImplicitAllAtOnce,
     TimeMatrixB,
+    WaveformRelaxation,
     apply_S,
     apply_S_inverse,
-    wr_fine_solve,
 )
 from paradiff.experiment import (
     ExperimentConfig,
@@ -26,7 +26,7 @@ from paradiff.experiment import (
     run_single,
 )
 from paradiff.msbasis import CoarseSystem
-from paradiff.parareal import ParerealConfig, build_fine_propagator, run_parareal
+from paradiff.parareal import AllAtOnceFine, ParerealConfig, SequentialFine, run_parareal
 from paradiff.stepping import (
     ConstantLoads,
     SplitPropagators,
@@ -56,12 +56,12 @@ def test_endpoint_matches_sequential_fine_after_n_iterations(channel_pipeline):
     )
     tg = TimeGrid(0.005, 10, 10)
     worst = 0.0
-    for kind in ("sequential", "all-at-once"):
-        pconf = ParerealConfig(
-            time_grid=tg, alpha=0.5, epsilon=0.0, k_max=10, fine_kind=kind,
-            fine_tol=1e-13,
-        )
-        fine = build_fine_propagator(pconf, props)
+    fines = {
+        "sequential": SequentialFine(props, tg),
+        "all-at-once": AllAtOnceFine(WaveformRelaxation(props, tg.substeps, tg.dt, 0.5, tol=1e-13)),
+    }
+    for kind, fine in fines.items():
+        pconf = ParerealConfig(time_grid=tg, alpha=0.5, epsilon=0.0, k_max=10, fine_kind=kind)
         run = run_parareal(pconf, props, fine, initial)
         assert run.iterations == 10
 
@@ -143,10 +143,7 @@ def test_waveform_relaxation_matches_sequential_and_contracts_like_gamma_squared
     dt_int, m = 5e-3, 10
     worst, sweeps = 0.0, []
     for alpha in (0.1, 0.5, 0.9):
-        res = wr_fine_solve(
-            space.system, state, dt_int, m, alpha, channel_pipeline.loads,
-            tol=1e-13, max_iter=2000,
-        )
+        res = WaveformRelaxation(props, m, dt_int, alpha, tol=1e-13, max_iter=2000).solve(state)
         assert res.converged
         sweeps.append(res.iterations)
         seq = props.fine_interval(state, dt_int, m)
@@ -165,10 +162,8 @@ def test_waveform_relaxation_matches_sequential_and_contracts_like_gamma_squared
     # identity mass blocks make gamma the largest singular value of M12
     assert np.linalg.svd(sysb.M12, compute_uv=False)[0] == gamma
     loads = ConstantLoads(np.array([1.0, 1.0]), np.array([1.0, -1.0]))
-    res = wr_fine_solve(
-        sysb, SplitState.fresh(np.zeros(2), np.zeros(2)), 0.01, 8, 0.1, loads,
-        tol=1e-13, max_iter=200,
-    )
+    wr = WaveformRelaxation(SplitPropagators(sysb, loads), 8, 0.01, 0.1, tol=1e-13, max_iter=200)
+    res = wr.solve(SplitState.fresh(np.zeros(2), np.zeros(2)))
     r = res.residuals
     ratios = [r[i + 1] / r[i] for i in range(2, min(8, len(r) - 1))]
     geo = float(np.exp(np.mean(np.log(ratios))))

@@ -8,7 +8,6 @@ from paradiff.allatonce import (
     apply_S,
     apply_S_inverse,
     build_rhs,
-    wr_fine_solve,
 )
 from paradiff.msbasis import CoarseSystem
 from paradiff.stepping import ConstantLoads, SplitPropagators, SplitState, project_initial
@@ -128,10 +127,7 @@ def test_wr_matches_sequential_trajectory(channel_pipeline):
     props = SplitPropagators(space.system, channel_pipeline.loads)
     state = SplitState.fresh(np.zeros(space.d1), np.zeros(space.d2))
     dt_int, m = 5e-4, 10
-    res = wr_fine_solve(
-        space.system, state, dt_int, m, 0.5, channel_pipeline.loads,
-        tol=1e-13, max_iter=400,
-    )
+    res = WaveformRelaxation(props, m, dt_int, 0.5, tol=1e-13, max_iter=400).solve(state)
     assert res.converged
     seq = props.fine_interval(state, dt_int, m)
     scale = max(np.abs(seq.U).max(), np.abs(seq.W).max())
@@ -145,10 +141,7 @@ def test_wr_from_nonzero_state(channel_pipeline, rng):
     props = SplitPropagators(space.system, channel_pipeline.loads)
     fine0 = channel_pipeline.ops.load(channel_pipeline.config.to_source())
     state = project_initial(fine0 / channel_pipeline.ops.norm(fine0), space, channel_pipeline.ops)
-    res = wr_fine_solve(
-        space.system, state, 5e-4, 8, 0.3, channel_pipeline.loads,
-        tol=1e-13, max_iter=400,
-    )
+    res = WaveformRelaxation(props, 8, 5e-4, 0.3, tol=1e-13, max_iter=400).solve(state)
     seq = props.fine_interval(state, 5e-4, 8)
     gap = np.linalg.norm(res.trajectory.final.stacked() - seq.final.stacked())
     assert gap < 1e-10 * (1.0 + np.linalg.norm(seq.final.stacked()))
@@ -159,7 +152,7 @@ def test_wr_w_only_system_converges_immediately(homogeneous_pipeline):
     assert space.d1 == 0
     props = SplitPropagators(space.system, homogeneous_pipeline.loads)
     state = SplitState.fresh(np.zeros(0), np.zeros(space.d2))
-    res = wr_fine_solve(space.system, state, 5e-4, 6, 0.5, homogeneous_pipeline.loads)
+    res = WaveformRelaxation(props, 6, 5e-4, 0.5).solve(state)
     assert res.converged and res.iterations <= 3
     seq = props.fine_interval(state, 5e-4, 6)
     assert np.abs(res.trajectory.W - seq.W).max() < 1e-12 * max(1.0, np.abs(seq.W).max())
@@ -167,9 +160,10 @@ def test_wr_w_only_system_converges_immediately(homogeneous_pipeline):
 
 def test_wr_determinism(channel_pipeline):
     space = channel_pipeline.space
+    props = SplitPropagators(space.system, channel_pipeline.loads)
     state = SplitState.fresh(np.zeros(space.d1), np.zeros(space.d2))
-    a = wr_fine_solve(space.system, state, 5e-4, 10, 0.5, channel_pipeline.loads)
-    b = wr_fine_solve(space.system, state, 5e-4, 10, 0.5, channel_pipeline.loads)
+    a = WaveformRelaxation(props, 10, 5e-4, 0.5).solve(state)
+    b = WaveformRelaxation(props, 10, 5e-4, 0.5).solve(state)
     assert np.array_equal(a.trajectory.U, b.trajectory.U)
     assert np.array_equal(a.trajectory.W, b.trajectory.W)
     assert a.residuals == b.residuals
@@ -194,7 +188,8 @@ def test_wr_contraction_tracks_gamma_squared():
     sysb = synthetic_low_gamma_system(gamma, 0.1)
     loads = ConstantLoads(np.array([1.0, 1.0]), np.array([1.0, -1.0]))
     state = SplitState.fresh(np.zeros(2), np.zeros(2))
-    res = wr_fine_solve(sysb, state, 0.01, 8, 0.1, loads, tol=1e-13, max_iter=200)
+    wr = WaveformRelaxation(SplitPropagators(sysb, loads), 8, 0.01, 0.1, tol=1e-13, max_iter=200)
+    res = wr.solve(state)
     assert res.converged
     r = res.residuals
     ratios = [r[i + 1] / r[i] for i in range(2, min(8, len(r) - 1))]
@@ -216,14 +211,10 @@ def test_wr_residual_floor_stop():
     assert res.residuals[-1] <= 1e-12
 
 
-def test_wr_nonconvergence_is_flagged(channel_pipeline, caplog):
+def test_wr_nonconvergence_is_flagged(channel_pipeline):
     space = channel_pipeline.space
+    props = SplitPropagators(space.system, channel_pipeline.loads)
     state = SplitState.fresh(np.zeros(space.d1), np.zeros(space.d2))
-    with caplog.at_level("WARNING"):
-        res = wr_fine_solve(
-            space.system, state, 5e-4, 10, 0.5, channel_pipeline.loads,
-            tol=1e-13, max_iter=3,
-        )
+    res = WaveformRelaxation(props, 10, 5e-4, 0.5, tol=1e-13, max_iter=3).solve(state)
     assert not res.converged
     assert res.stop_reason == "max_iter"
-    assert any("not converged" in rec.message for rec in caplog.records)

@@ -1,8 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import paradiff.cli as cli
-from paradiff.experiment import ExperimentConfig, ExperimentError, dump_config
+import paradiff.experiment as expmod
+import paradiff.parareal as parareal
+from paradiff.experiment import (
+    ExperimentConfig,
+    ExperimentError,
+    build_pipeline,
+    check_config,
+    dump_config,
+    run_single,
+)
 
 
 def tiny_config(**overrides):
@@ -34,6 +45,38 @@ def test_check_passes_on_default_config(capsys):
     assert "all 6 checks passed" in out
     assert out.count("[ok]") == 6
     assert "[FAIL]" not in out
+
+
+def test_check_repeated_run_is_the_pipeline_run(monkeypatch):
+    """The check's two parareal runs are run_single's run, bit for bit."""
+    runs = []
+    original = parareal.run_parareal
+
+    def recorded(*args, **kwargs):
+        runs.append(original(*args, **kwargs))
+        return runs[-1]
+
+    for module in (parareal, expmod, cli):
+        monkeypatch.setattr(module, "run_parareal", recorded, raising=False)
+    assert all(ok for _, ok, _ in cli.run_checks(check_config()))
+    monkeypatch.undo()
+
+    cfg = replace(check_config(), compute_reference=False)
+    expected = run_single(build_pipeline(cfg), cfg.n_values[0]).run.history
+    assert len(runs) == 2
+    for run in runs:
+        assert len(run.history) == len(expected)
+        assert all(np.array_equal(a, b) for a, b in zip(run.history, expected))
+
+
+def test_diverged_waveform_relaxation_exits_1(tmp_path, capsys):
+    path = tmp_path / "diverging.ini"
+    dump_config(replace(check_config(), blocks=10, layers=1, substeps=96), path)
+    out = tmp_path / "out"
+    rc = cli.main(["solve", "--config", str(path), "--out", str(out)])
+    assert rc == 1
+    assert "[fine N=8] waveform relaxation: 36 fine solves diverged" in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 def test_solve_writes_artifacts(tmp_path, capsys):

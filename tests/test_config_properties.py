@@ -86,17 +86,18 @@ def _bad_point(cfg, data):
     return replace(cfg, source_kind="point", source_region=cell)
 
 
-NAN = float("nan")
+NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
 BAD_VALUES = {
     "nx": st.integers(max_value=1),
     "blocks": st.integers(max_value=0),
-    "t_end": st.floats(max_value=0.0) | st.just(NAN),
-    "epsilon": st.floats(max_value=0.0, exclude_max=True) | st.just(NAN),
+    "t_end": st.floats(max_value=0.0) | NON_FINITE,
+    "epsilon": st.floats(max_value=0.0, exclude_max=True) | NON_FINITE,
     "k_max": st.integers(max_value=0),
     "layers": st.integers(max_value=-1),
     "substeps": st.integers(max_value=-1),
-    "contrast": st.floats(max_value=1.0, exclude_max=True) | st.just(NAN),
-    "background": st.floats(max_value=0.0) | st.just(NAN),
+    "contrast": st.floats(max_value=1.0, exclude_max=True) | NON_FINITE,
+    "background": st.floats(max_value=0.0) | NON_FINITE,
+    "source_amplitude": NON_FINITE,
 }
 
 

@@ -1,5 +1,6 @@
 import configparser
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from paradiff.experiment import (
     run_experiment,
     run_single,
 )
+from paradiff.allatonce import WaveformRelaxation
+from paradiff.parareal import AllAtOnceFine
 
 
 def tiny_config(**overrides):
@@ -218,6 +221,33 @@ def test_substep_above_stability_bound_fails_with_one_stage_tag(tmp_path):
     assert err.value.stage == "stability N=3"
     assert str(err.value).startswith("[stability N=3] substep")
     assert not any(out.iterdir())
+
+
+def test_diverged_waveform_relaxation_fails_with_stage_tag():
+    """100 w-modes on the check setup: WR diverges on every interval, and
+    the run fails instead of reporting a converged endpoint of norm 1e39."""
+    cfg = replace(
+        check_config(), blocks=10, layers=1, substeps=96,
+        compute_reference=False, export_solution=False,
+    )
+    with pytest.raises(ExperimentError) as err:
+        run_single(build_pipeline(cfg), 8)
+    assert err.value.stage == "fine N=8"
+    assert "36 fine solves diverged" in str(err.value)
+
+
+def test_unconverged_final_fine_solves_fail_with_stage_tag(monkeypatch):
+    def capped(config, propagators):
+        tg = config.time_grid
+        return AllAtOnceFine(
+            WaveformRelaxation(propagators, tg.substeps, tg.dt, config.alpha, max_iter=2)
+        )
+
+    monkeypatch.setattr(expmod, "build_fine_propagator", capped)
+    with pytest.raises(ExperimentError) as err:
+        run_single(build_pipeline(tiny_config(compute_reference=False)), 3)
+    assert err.value.stage == "fine N=3"
+    assert "0 fine solves diverged" in str(err.value)
 
 
 def test_run_single_error_series_tracks_iterations(tmp_path):

@@ -23,20 +23,17 @@ def scalar_system(a=6.0):
 
 
 def make_run(pipe, *, n=6, substeps=4, fine_kind="sequential",
-             epsilon=1e-14, k_max=100, alpha=0.5, fine_tol=None, wr_max_iter=None):
+             epsilon=1e-14, k_max=100, alpha=0.5, wr_max_iter=None):
     """Parareal on pipe; wr_max_iter caps an all-at-once fine solver built by hand."""
     tg = TimeGrid(pipe.config.t_end, n, substeps)
     props = SplitPropagators(pipe.space.system, pipe.loads)
     cfg = ParerealConfig(
-        time_grid=tg, alpha=alpha, epsilon=epsilon, k_max=k_max,
-        fine_kind=fine_kind, fine_tol=fine_tol,
+        time_grid=tg, alpha=alpha, epsilon=epsilon, k_max=k_max, fine_kind=fine_kind,
     )
     if wr_max_iter is None:
         fine = build_fine_propagator(cfg, props)
     else:
-        fine = AllAtOnceFine(WaveformRelaxation(
-            props, substeps, tg.dt, alpha, tol=cfg.resolved_fine_tol(), max_iter=wr_max_iter,
-        ))
+        fine = AllAtOnceFine(WaveformRelaxation(props, substeps, tg.dt, alpha, max_iter=wr_max_iter))
     initial = SplitState.fresh(np.zeros(pipe.space.d1), np.zeros(pipe.space.d2))
     return run_parareal(cfg, props, fine, initial), fine, props, tg
 
@@ -80,7 +77,7 @@ def test_exactness_after_n_iterations_bitwise(channel_pipeline):
 def test_exactness_holds_for_all_at_once_kind(channel_pipeline):
     run, fine, props, tg = make_run(
         channel_pipeline, n=5, substeps=6, fine_kind="all-at-once",
-        epsilon=0.0, k_max=5, fine_tol=1e-13,
+        epsilon=0.0, k_max=5,
     )
     state = SplitState.fresh(
         np.zeros(channel_pipeline.space.d1), np.zeros(channel_pipeline.space.d2)
@@ -119,8 +116,7 @@ def test_settled_intervals_reuse_fine_solves(channel_pipeline, fine_kind):
     n, k = 6, 6
     tg = TimeGrid(pipe.config.t_end, n, 4)
     props = SplitPropagators(pipe.space.system, pipe.loads)
-    cfg = ParerealConfig(time_grid=tg, alpha=0.5, epsilon=0.0, k_max=k,
-                         fine_kind=fine_kind, fine_tol=1e-13)
+    cfg = ParerealConfig(time_grid=tg, alpha=0.5, epsilon=0.0, k_max=k, fine_kind=fine_kind)
     fine = build_fine_propagator(cfg, props)
     calls = []
     propagate = fine.propagate
@@ -193,7 +189,7 @@ def test_wr_nonconverged_pairs_reported(channel_pipeline, caplog):
     with caplog.at_level("WARNING"):
         run, *_ = make_run(
             channel_pipeline, n=3, substeps=8, fine_kind="all-at-once",
-            k_max=2, epsilon=0.0, fine_tol=1e-13, wr_max_iter=2,
+            k_max=2, epsilon=0.0, wr_max_iter=2,
         )
     bad = run.wr_nonconverged()
     assert bad
@@ -205,7 +201,7 @@ def test_wr_warnings_combined_per_iteration(channel_pipeline, caplog):
     with caplog.at_level("WARNING"):
         run, *_ = make_run(
             channel_pipeline, n=4, substeps=8, fine_kind="all-at-once",
-            k_max=3, epsilon=0.0, fine_tol=1e-13, wr_max_iter=2,
+            k_max=3, epsilon=0.0, wr_max_iter=2,
         )
     # one warning per iteration whose fine solves left intervals unconverged
     failing = [
@@ -226,9 +222,9 @@ def test_unknown_fine_kind_rejected(channel_pipeline):
         build_fine_propagator(cfg, props)
 
 
-def test_resolved_fine_tol_tracks_epsilon(channel_pipeline):
+def test_wr_tolerance_follows_epsilon(channel_pipeline):
+    props = SplitPropagators(channel_pipeline.space.system, channel_pipeline.loads)
     tg = TimeGrid(0.005, 2, 2)
-    assert ParerealConfig(time_grid=tg, alpha=0.5, epsilon=1e-8).resolved_fine_tol() == 1e-12
-    assert ParerealConfig(time_grid=tg, alpha=0.5, epsilon=1e-14).resolved_fine_tol() == 1e-14
-    assert ParerealConfig(time_grid=tg, alpha=0.5, epsilon=0.0).resolved_fine_tol() == 1e-14
-    assert ParerealConfig(time_grid=tg, alpha=0.5, fine_tol=1e-9).resolved_fine_tol() == 1e-9
+    for epsilon, tol in ((1e-8, 1e-12), (1e-14, 1e-14), (0.0, 1e-14)):
+        cfg = ParerealConfig(time_grid=tg, alpha=0.5, epsilon=epsilon)
+        assert build_fine_propagator(cfg, props).wr.tol == tol

@@ -16,14 +16,13 @@ Run: python3 demos/03_alpha_circulant.py
 
 import numpy as np
 
-from paradiff.allatonce import TimeMatrixB, apply_S, apply_S_inverse
+from paradiff.allatonce import TimeMatrixB
 
 
 def diag_residual(m: int, dt: float, alpha: float) -> float:
     tm = TimeMatrixB(m, dt, alpha)
-    s_mat = apply_S(np.eye(m), alpha)
-    s_inv = apply_S_inverse(np.eye(m), alpha)
-    rebuilt = (s_mat * tm.eigenvalues()[None, :]) @ s_inv
+    # S D S^-1 through the transform pair the solver runs: (S/M) D (M S^-1)
+    rebuilt = tm.from_eigenbasis(tm.eigenvalues()[:, None] * tm.to_eigenbasis(np.eye(m)))
     b = tm.dense()
     return float(np.linalg.norm(rebuilt - b) / np.linalg.norm(b))
 

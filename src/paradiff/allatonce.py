@@ -9,8 +9,11 @@ diagonalizable in closed form: B = S D S^{-1} with
     d_k = (1 - alpha^{1/M} exp(-2 pi i k / M)) / dt.
 
 V and V^{-1} are inverse/forward DFT matrices, so S applies in O(M log M)
-with FFTs. The solve is three steps: transform the right-hand side, solve M
-independent complex-shifted systems, transform back.
+with FFTs. `TimeMatrixB` owns the transform pair the solver runs:
+to_eigenbasis(x) = fft(Lambda^{-1} x) = M S^{-1} x and from_eigenbasis(y) =
+Lambda ifft(y) = S y / M, whose factors M cancel in a round trip. The solve
+is three steps: transform the right-hand side, solve M independent
+complex-shifted systems, transform back.
 
 The alpha-coupling to the last substep and the lagged w-terms are refreshed
 by waveform relaxation: alternate the all-at-once u-solve with a sequential
@@ -29,6 +32,7 @@ scheme. Every caller, parareal and the check subcommand alike, builds one
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import fft
@@ -65,37 +69,30 @@ class TimeMatrixB:
         omega = np.exp(-2j * np.pi * np.arange(m) / m)
         return (1.0 - self.alpha ** (1.0 / m) * omega) / self.dt
 
-    def scaling(self) -> np.ndarray:
-        """Diagonal of Lambda: alpha^{-s/M} for s = 0..M-1."""
+    @cached_property
+    def _lambda_column(self) -> np.ndarray:
+        """Diagonal of Lambda, alpha^{-s/M} for s = 0..M-1, as an (M, 1) column."""
         m = self.substeps
-        return self.alpha ** (-np.arange(m) / m)
+        return (self.alpha ** (-np.arange(m) / m))[:, None]
 
+    def to_eigenbasis(self, x: np.ndarray) -> np.ndarray:
+        """fft(Lambda^{-1} x) = M S^{-1} x, along axis 0 of an (M, k) array."""
+        return fft.fft(x / self._lambda_column, axis=0)
 
-def _lam(alpha: float, m: int, ndim: int) -> np.ndarray:
-    lam = alpha ** (-np.arange(m) / m)
-    return lam.reshape((m,) + (1,) * (ndim - 1))
-
-
-def apply_S(x: np.ndarray, alpha: float) -> np.ndarray:
-    """S x = Lambda (M ifft(x)) along axis 0."""
-    m = x.shape[0]
-    return _lam(alpha, m, x.ndim) * (m * np.fft.ifft(x, axis=0))
-
-
-def apply_S_inverse(x: np.ndarray, alpha: float) -> np.ndarray:
-    """S^{-1} x = fft(Lambda^{-1} x)/M along axis 0."""
-    m = x.shape[0]
-    return np.fft.fft(x / _lam(alpha, m, x.ndim), axis=0) / m
+    def from_eigenbasis(self, y: np.ndarray) -> np.ndarray:
+        """Lambda ifft(y) = S y / M, along axis 0 of an (M, k) array."""
+        return self._lambda_column * fft.ifft(y, axis=0)
 
 
 class ImplicitAllAtOnce:
     """Solver for (B kron M11 + I kron A11) U = F via the diagonalization.
 
     The M shifted matrices d_k M11 + A11 are inverted once at construction;
-    every solve is then two FFTs and one matrix-vector product per substep.
-    The back-substituted residual of the full system and the discarded
-    imaginary residue of the last solve are conditioning guards, computed
-    when read; `WaveformRelaxation` reports only the imaginary residue.
+    every solve is then `TimeMatrixB.to_eigenbasis`, one matrix-vector
+    product per substep and `TimeMatrixB.from_eigenbasis`. The
+    back-substituted residual of the full system and the discarded imaginary
+    residue of the last solve are conditioning guards, computed when read;
+    `WaveformRelaxation` reports only the imaginary residue.
     """
 
     def __init__(self, system: CoarseSystem, substeps: int, dt: float, alpha: float):
@@ -107,17 +104,15 @@ class ImplicitAllAtOnce:
             self.inv_shifted = np.linalg.inv(shifted)
         else:
             self.inv_shifted = np.zeros((substeps, 0, 0), dtype=complex)
-        # S = Lambda V applied as Lambda * ifft and S^{-1} as fft of Lambda^{-1} x;
-        # the 1/M of the forward transform cancels against the M of apply_S
-        self._lam = self.time_matrix.scaling()[:, None]
         self._last: tuple[np.ndarray, np.ndarray] | None = None  # (rhs, complex u)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """rhs has one row per substep, shape (M, d1)."""
         if self.system.d1 == 0:
             return np.zeros((self.time_matrix.substeps, 0))
-        p = fft.fft(rhs / self._lam, axis=0)
-        u_c = self._lam * fft.ifft((self.inv_shifted @ p[:, :, None])[:, :, 0], axis=0)
+        tm = self.time_matrix
+        p = tm.to_eigenbasis(rhs)
+        u_c = tm.from_eigenbasis((self.inv_shifted @ p[:, :, None])[:, :, 0])
         self._last = (rhs, u_c)
         return u_c.real.copy()
 

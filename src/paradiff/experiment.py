@@ -144,12 +144,17 @@ def _parse_ranges(text: str, cast=int) -> tuple:
     return tuple(out)
 
 
-def load_config(path) -> ExperimentConfig:
+def read_config_file(path) -> configparser.ConfigParser:
+    """Parse path, or raise ConfigError where it is missing or unreadable,
+    a directory among them: ConfigParser.read silently skips those."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file not found: {path}")
-    return config_from_parser(parser)
+    if not parser.read(path):
+        raise ConfigError(f"config file not found or unreadable: {path}")
+    return parser
+
+
+def load_config(path) -> ExperimentConfig:
+    return config_from_parser(read_config_file(path))
 
 
 def check_options(parser: configparser.ConfigParser) -> None:
@@ -278,25 +283,6 @@ def example1_config() -> ExperimentConfig:
     )
 
 
-def example2_config() -> ExperimentConfig:
-    """Several crossing streaks; single-cell source inside one of them."""
-    return ExperimentConfig(
-        layers=4,
-        channels=[
-            (5, 95, 14, 16),
-            (10, 90, 44, 46),
-            (30, 95, 74, 76),
-            (24, 26, 10, 80),
-            (64, 66, 20, 95),
-            (80, 92, 54, 56),
-        ],
-        source_kind="point",
-        source_amplitude=1.0,
-        source_region=(52, 45),
-        alpha=0.6,
-    )
-
-
 def check_config() -> ExperimentConfig:
     """Reduced setup for the invariant check suite: fast but heterogeneous."""
     return ExperimentConfig(
@@ -384,17 +370,13 @@ def run_single(pipe: Pipeline, n: int) -> RunResult:
     fine = build_fine_propagator(pconfig, propagators)
     initial = project_initial(np.zeros(pipe.grid.n_interior), pipe.space, pipe.ops)
     run = run_parareal(pconfig, propagators, fine, initial)
-    # a diverged fine solve anywhere, or an unconverged one behind the final
-    # endpoints, leaves the result meaningless
-    diverged = sum(
-        info.get("stop_reason") == "diverged" for sweep in run.fine_info for info in sweep
-    )
-    unconverged = [i for i, info in enumerate(run.fine_info[-1]) if not info["converged"]]
-    if diverged or unconverged:
+    if run.failed:
+        diverged = sum(run.fine_info[-1][i].get("stop_reason") == "diverged" for i in run.failed)
         raise ExperimentError(
             f"fine N={n}",
-            f"waveform relaxation: {diverged} fine solves diverged; unconverged "
-            f"fine solves behind the final endpoints on intervals {unconverged}",
+            f"waveform relaxation: {diverged} fine solves diverged and "
+            f"{len(run.failed) - diverged} behind the final endpoints did not converge, "
+            f"at iteration {run.iterations} on intervals {run.failed}",
         )
 
     ref_final = None

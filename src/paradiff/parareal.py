@@ -14,6 +14,11 @@ because F is deterministic and an interval's start time is the same float
 at every iteration. At iteration k that holds for intervals 0..k-2. The
 loop stops when the largest Euclidean update over the stacked (u, w)
 endpoint coefficients drops below epsilon, or at k_max.
+
+It also stops, not converged, at the first iteration whose fine solves
+leave the result meaningless: a solve that diverged, or an unconverged
+solve on intervals 0..k-1, which start from their final states and are
+never solved again.
 """
 
 from __future__ import annotations
@@ -84,7 +89,6 @@ def build_fine_propagator(config: ParerealConfig, propagators: SplitPropagators)
 
 @dataclass
 class ParerealRun:
-    config: ParerealConfig
     d1: int
     history: list[np.ndarray]  # per iteration: (N+1, d1+d2) endpoint coefficients
     max_diffs: list[float]
@@ -97,6 +101,9 @@ class ParerealRun:
     fine_seconds: list[float] = field(default_factory=list)
     coarse_seconds: list[float] = field(default_factory=list)
     total_seconds: float = 0.0
+    # intervals whose fine solve in the last iteration leaves the result
+    # meaningless; the loop stops at the first iteration with any
+    failed: list[int] = field(default_factory=list)
 
     def endpoint(self, k: int = -1) -> tuple[np.ndarray, np.ndarray]:
         """(u, w) coefficients at t_end for iteration k."""
@@ -179,6 +186,7 @@ def run_parareal(
     # per interval: (output, info) of its last fine solve
     fine_outputs: list[tuple[SplitState, dict] | None] = [None] * n_int
     converged = False
+    failed: list[int] = []
     iterations = 0
 
     for _ in range(config.k_max):
@@ -219,12 +227,18 @@ def run_parareal(
         diff, stop = check_stop(history[-2], history[-1], config.epsilon)
         max_diffs.append(diff)
         states, coarse_prev = new_states, coarse_new
-        if stop:
-            converged = True
+        # intervals 0..k-1 start from their final states; once the loop
+        # ends, every interval's last solve is final
+        settled = n_int if stop or iterations == config.k_max else iterations
+        failed = [
+            n for n, info in enumerate(fine_info[-1])
+            if info.get("stop_reason") == "diverged" or (n < settled and not info["converged"])
+        ]
+        if failed or stop:
+            converged = stop and not failed
             break
 
     return ParerealRun(
-        config=config,
         d1=d1,
         history=history,
         max_diffs=max_diffs,
@@ -234,4 +248,5 @@ def run_parareal(
         fine_seconds=fine_seconds,
         coarse_seconds=coarse_seconds,
         total_seconds=time.perf_counter() - t_start,
+        failed=failed,
     )

@@ -67,9 +67,6 @@ class TimeGrid:
     def dt_sub(self) -> float:
         return self.dt / self.substeps
 
-    def interval_starts(self) -> np.ndarray:
-        return np.arange(self.n_intervals) * self.dt
-
 
 class ConstantLoads:
     """Time-constant coarse load pair (f1, f2) = (Psi1^T b, Psi2^T b)."""

@@ -5,8 +5,6 @@ from paradiff.allatonce import (
     ImplicitAllAtOnce,
     TimeMatrixB,
     WaveformRelaxation,
-    apply_S,
-    apply_S_inverse,
     build_rhs,
 )
 from paradiff.msbasis import CoarseSystem
@@ -50,16 +48,18 @@ def test_eigenvalues_match_numpy():
             ref.pop(j)
 
 
-def test_apply_S_matches_dense_factors(rng):
+def test_eigenbasis_pair_matches_dense_factors(rng):
     m, alpha = 8, 0.35
+    tm = TimeMatrixB(m, 0.01, alpha)
     lam = np.diag(alpha ** (-np.arange(m) / m))
     jk = np.outer(np.arange(m), np.arange(m))
     v = np.exp(2j * np.pi * jk / m)
     s_dense = lam @ v
     x = rng.standard_normal((m, 3))
-    assert np.allclose(apply_S(x, alpha), s_dense @ x, atol=1e-12)
-    assert np.allclose(apply_S_inverse(x, alpha), np.linalg.solve(s_dense, x), atol=1e-12)
-    assert np.allclose(apply_S_inverse(apply_S(x, alpha), alpha), x, atol=1e-12)
+    # to_eigenbasis is M S^-1 and from_eigenbasis is S / M
+    assert np.allclose(tm.from_eigenbasis(x), s_dense @ x / m, atol=1e-12)
+    assert np.allclose(tm.to_eigenbasis(x), m * np.linalg.solve(s_dense, x), atol=1e-12)
+    assert np.allclose(tm.to_eigenbasis(tm.from_eigenbasis(x)), x, atol=1e-12)
 
 
 def test_diagonalization_identity_all_sizes():
@@ -67,9 +67,7 @@ def test_diagonalization_identity_all_sizes():
     for m in (2, 4, 8, 16, 32, 64):
         for alpha in (0.1, 0.5, 0.9):
             tm = TimeMatrixB(m, 0.01, alpha)
-            s = apply_S(np.eye(m), alpha)
-            s_inv = apply_S_inverse(np.eye(m), alpha)
-            rebuilt = (s * tm.eigenvalues()[None, :]) @ s_inv
+            rebuilt = tm.from_eigenbasis(tm.eigenvalues()[:, None] * tm.to_eigenbasis(np.eye(m)))
             b = tm.dense()
             worst = max(worst, np.abs(rebuilt.real - b).max() / np.abs(b).max())
             assert np.abs(rebuilt.imag).max() < 1e-10 * np.abs(b).max()

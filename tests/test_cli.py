@@ -75,7 +75,9 @@ def test_diverged_waveform_relaxation_exits_1(tmp_path, capsys):
     out = tmp_path / "out"
     rc = cli.main(["solve", "--config", str(path), "--out", str(out)])
     assert rc == 1
-    assert "[fine N=8] waveform relaxation: 36 fine solves diverged" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "[fine N=8] waveform relaxation: 8 fine solves diverged" in err
+    assert "at iteration 1 on intervals" in err
     assert not any(out.iterdir())
 
 
@@ -138,6 +140,15 @@ def test_missing_config_file(tmp_path, capsys):
     )
     assert rc == 2
     assert "not found" in capsys.readouterr().err
+
+
+def test_config_directory_exits_2(tmp_path, capsys):
+    """ConfigParser.read skips a path it cannot open; the run must not go on
+    with the defaults."""
+    rc = cli.main(["basis", "--config", str(tmp_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "not found or unreadable" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_invalid_config_value(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import configparser
 import csv
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from paradiff.experiment import (
     config_to_parser,
     dump_config,
     example1_config,
-    example2_config,
     build_pipeline,
     load_config,
     relative_error,
@@ -25,6 +25,8 @@ from paradiff.experiment import (
 )
 from paradiff.allatonce import WaveformRelaxation
 from paradiff.parareal import AllAtOnceFine
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def tiny_config(**overrides):
@@ -45,10 +47,15 @@ def test_parse_ranges():
 
 
 def test_named_configs_validate():
-    for cfg in (example1_config(), example2_config(), check_config()):
+    for cfg in (example1_config(), load_config(CONFIGS / "example2.ini"), check_config()):
         assert cfg.validate() is cfg
         assert cfg.to_source().kind == cfg.source_kind
         assert len(cfg.to_channels()) == len(cfg.channels)
+
+
+def test_example1_config_equals_its_ini_file():
+    """`paradiff run` defaults to example1_config(), the benchmark reads the file."""
+    assert example1_config() == load_config(CONFIGS / "example1.ini")
 
 
 def test_validation_errors():
@@ -77,7 +84,8 @@ def test_time_grid_uses_n_for_substeps_by_default():
 
 
 def test_config_roundtrip_through_parser():
-    for cfg in (example1_config(), example2_config(), check_config(), tiny_config()):
+    example2 = load_config(CONFIGS / "example2.ini")
+    for cfg in (example1_config(), example2, check_config(), tiny_config()):
         back = config_from_parser(config_to_parser(cfg))
         assert back == cfg
 
@@ -225,7 +233,8 @@ def test_substep_above_stability_bound_fails_with_one_stage_tag(tmp_path):
 
 def test_diverged_waveform_relaxation_fails_with_stage_tag():
     """100 w-modes on the check setup: WR diverges on every interval, and
-    the run fails instead of reporting a converged endpoint of norm 1e39."""
+    the run fails after its first iteration instead of reporting a converged
+    endpoint of norm 1e39."""
     cfg = replace(
         check_config(), blocks=10, layers=1, substeps=96,
         compute_reference=False, export_solution=False,
@@ -233,7 +242,8 @@ def test_diverged_waveform_relaxation_fails_with_stage_tag():
     with pytest.raises(ExperimentError) as err:
         run_single(build_pipeline(cfg), 8)
     assert err.value.stage == "fine N=8"
-    assert "36 fine solves diverged" in str(err.value)
+    assert "8 fine solves diverged" in str(err.value)
+    assert "at iteration 1 on intervals [0, 1, 2, 3, 4, 5, 6, 7]" in str(err.value)
 
 
 def test_unconverged_final_fine_solves_fail_with_stage_tag(monkeypatch):
@@ -248,6 +258,9 @@ def test_unconverged_final_fine_solves_fail_with_stage_tag(monkeypatch):
         run_single(build_pipeline(tiny_config(compute_reference=False)), 3)
     assert err.value.stage == "fine N=3"
     assert "0 fine solves diverged" in str(err.value)
+    # only interval 0 starts from its final state at iteration 1
+    assert str(err.value).endswith("1 behind the final endpoints did not converge, "
+                                   "at iteration 1 on intervals [0]")
 
 
 def test_run_single_error_series_tracks_iterations(tmp_path):

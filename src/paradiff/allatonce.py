@@ -89,10 +89,9 @@ class ImplicitAllAtOnce:
 
     The M shifted matrices d_k M11 + A11 are inverted once at construction;
     every solve is then `TimeMatrixB.to_eigenbasis`, one matrix-vector
-    product per substep and `TimeMatrixB.from_eigenbasis`. The
-    back-substituted residual of the full system and the discarded imaginary
-    residue of the last solve are conditioning guards, computed when read;
-    `WaveformRelaxation` reports only the imaginary residue.
+    product per substep and `TimeMatrixB.from_eigenbasis`. The imaginary
+    residue the last solve discarded is a conditioning guard, computed when
+    read.
     """
 
     def __init__(self, system: CoarseSystem, substeps: int, dt: float, alpha: float):
@@ -104,7 +103,7 @@ class ImplicitAllAtOnce:
             self.inv_shifted = np.linalg.inv(shifted)
         else:
             self.inv_shifted = np.zeros((substeps, 0, 0), dtype=complex)
-        self._last: tuple[np.ndarray, np.ndarray] | None = None  # (rhs, complex u)
+        self._last_complex: np.ndarray | None = None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """rhs has one row per substep, shape (M, d1)."""
@@ -113,27 +112,15 @@ class ImplicitAllAtOnce:
         tm = self.time_matrix
         p = tm.to_eigenbasis(rhs)
         u_c = tm.from_eigenbasis((self.inv_shifted @ p[:, :, None])[:, :, 0])
-        self._last = (rhs, u_c)
+        self._last_complex = u_c
         return u_c.real.copy()
-
-    @property
-    def last_residual(self) -> float:
-        """Relative residual of the last solve in the full system."""
-        if self._last is None:
-            return 0.0
-        rhs, u_c = self._last
-        tm, u = self.time_matrix, u_c.real
-        # B u row by row: (u_s - u_{s-1})/dt, with alpha u_{M-1} before u_0
-        u_prev = np.concatenate((tm.alpha * u[-1:], u[:-1]))
-        res = (u - u_prev) / tm.dt @ self.system.M11 + u @ self.system.A11 - rhs
-        return float(np.linalg.norm(res) / max(np.linalg.norm(rhs), 1e-300))
 
     @property
     def last_imag_residue(self) -> float:
         """Largest imaginary part the last solve discarded, relative to its largest entry."""
-        if self._last is None:
+        u_c = self._last_complex
+        if u_c is None:
             return 0.0
-        u_c = self._last[1]
         return float(np.abs(u_c.imag).max() / max(np.abs(u_c).max(), 1e-300))
 
 
@@ -218,7 +205,6 @@ class WaveformRelaxation:
     ):
         self.propagators = propagators
         self.substeps = substeps
-        self.dt_interval = dt_interval
         self.dt = dt_interval / substeps
         self.alpha = alpha
         self.tol = tol
@@ -246,7 +232,7 @@ class WaveformRelaxation:
     def solve(self, state: SplitState) -> WRResult:
         """Treats state as an interval start: lag values reset to (u, w)."""
         props, m = self.propagators, self.substeps
-        u0, w0, t0 = state.u, state.w, state.t
+        u0, w0 = state.u, state.w
         f1_rows = np.tile(props.loads.f1, (m, 1))
         f2_rows = np.tile(props.loads.f2, (m, 1))
         z0 = props.to_modes(w0)
@@ -271,10 +257,10 @@ class WaveformRelaxation:
 
         full_u = np.vstack([u0, u_rows])
         full_w = np.vstack([w0, w_rows])
-        final = SplitState(full_u[-1].copy(), full_w[-1].copy(), t0 + self.dt_interval)
+        final = SplitState(full_u[-1].copy(), full_w[-1].copy())
         reason = reason or "max_iter"
         return WRResult(
-            trajectory=SplitTrajectory(t0 + self.dt * np.arange(m + 1), full_u, full_w, final),
+            trajectory=SplitTrajectory(full_u, full_w, final),
             residuals=residuals,
             iterations=len(residuals),
             converged=reason in ("tol", "floor"),

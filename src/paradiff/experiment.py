@@ -7,17 +7,20 @@ Accuracy is measured against a backward Euler solve on the full fine space
 at the same substep size: err = ||u_fine - u_coarse||_M / ||u_fine||_M at
 the final time.
 
-Every emitted number appears in exactly one file. All artifacts are pure
-functions of the config except wall-clock columns (runs.csv wall_seconds
-and the timing CSVs), which are the documented exception to byte-identical
-reruns.
+runs.csv holds one row per N. summary.txt restates its iterations,
+converged flag, relative error and wall time for reading, gamma appears on
+every runs.csv row and in summary.txt, and the last row of conv_N<n>.csv
+holds the run's relative error too. All artifacts are pure functions of the
+config except the wall-clock values (runs.csv wall_seconds, the wall time
+in summary.txt and the timing CSVs), the documented exception to
+byte-identical reruns.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -50,26 +53,81 @@ class ExperimentError(RuntimeError):
         self.stage = stage
 
 
+def _parse_ranges(text: str, cast=int) -> tuple:
+    """Parse 'a:b, c:d' into (a, b, c, d)."""
+    parts = [p.strip() for p in text.split(",")]
+    out = []
+    for part in parts:
+        lo, hi = part.split(":")
+        out.extend([cast(lo), cast(hi)])
+    return tuple(out)
+
+
+def _format_ranges(values: tuple) -> str:
+    """(a, b, c, d) as 'a:b, c:d', the text _parse_ranges reads."""
+    return ", ".join(f"{lo}:{hi}" for lo, hi in zip(values[::2], values[1::2]))
+
+
+def _parse_region(text: str, cfg: "ExperimentConfig") -> tuple | None:
+    """A point source's cell 'cx, cy', any other kind's ranges 'x0:x1, y0:y1'."""
+    if not text:
+        return None
+    if cfg.source_kind == "point":
+        return tuple(int(v) for v in text.split(","))
+    return _parse_ranges(text, cast=float)
+
+
+def _format_region(region: tuple | None, cfg: "ExperimentConfig") -> str:
+    if region is None:
+        return ""
+    return ", ".join(map(str, region)) if cfg.source_kind == "point" else _format_ranges(region)
+
+
+def _plain(parse, fmt=str) -> tuple:
+    """(parse, format) of an option read and written without the other fields."""
+    return (lambda text, cfg: parse(text)), (lambda value, cfg: fmt(value))
+
+
+# (parse, format) per option type: parse(text, cfg) reads the option's
+# stripped text once the fields declared before it are set on cfg, and
+# format(value, cfg) writes the value back
+_INT, _FLOAT, _STR = _plain(int), _plain(float, repr), _plain(str)
+_BOOL = _plain(lambda text: configparser.ConfigParser.BOOLEAN_STATES[text.lower()])
+_N_VALUES = _plain(lambda text: tuple(int(v) for v in text.split()), lambda v: " ".join(map(str, v)))
+_CHANNELS = _plain(
+    lambda text: [_parse_ranges(line) for line in text.splitlines() if line.strip()],
+    lambda channels: "\n" + "\n".join(_format_ranges(c) for c in channels),
+)
+
+
+def _option(section: str, option: str, codec: tuple, **default):
+    """A field that `option` in `[section]` sets, read and written by codec."""
+    return field(metadata={"ini": (section, option, *codec)}, **default)
+
+
 @dataclass
 class ExperimentConfig:
-    nx: int = 100
-    blocks: int = 10
-    layers: int = 3
-    background: float = 1.0
-    contrast: float = 1e4
-    channels: list[tuple[int, int, int, int]] = field(default_factory=list)
-    source_kind: str = "constant"
-    source_amplitude: float = 1.0
-    source_region: tuple | None = None
-    t_end: float = 0.005
-    n_values: tuple[int, ...] = (20, 30, 40, 50, 60)
-    substeps: int = 0  # 0 means M = N
-    alpha: float = 0.5
-    epsilon: float = 1e-14
-    fine_kind: str = "all-at-once"
-    k_max: int = 100
-    compute_reference: bool = True
-    export_solution: bool = True
+    """One experiment's inputs. Each field declares its INI entry, and the
+    parser, the writer and the unknown-option check iterate them in order."""
+
+    nx: int = _option("grid", "nx", _INT, default=100)
+    blocks: int = _option("grid", "blocks", _INT, default=10)
+    layers: int = _option("grid", "layers", _INT, default=3)
+    background: float = _option("field", "background", _FLOAT, default=1.0)
+    contrast: float = _option("field", "contrast", _FLOAT, default=1e4)
+    channels: list[tuple[int, int, int, int]] = _option("field", "channels", _CHANNELS, default_factory=list)
+    source_kind: str = _option("source", "kind", _STR, default="constant")
+    source_amplitude: float = _option("source", "amplitude", _FLOAT, default=1.0)
+    source_region: tuple | None = _option("source", "region", (_parse_region, _format_region), default=None)
+    t_end: float = _option("time", "t_end", _FLOAT, default=0.005)
+    n_values: tuple[int, ...] = _option("parareal", "n_values", _N_VALUES, default=(20, 30, 40, 50, 60))
+    substeps: int = _option("parareal", "substeps", _INT, default=0)  # 0 means M = N
+    alpha: float = _option("parareal", "alpha", _FLOAT, default=0.5)
+    epsilon: float = _option("parareal", "epsilon", _FLOAT, default=1e-14)
+    fine_kind: str = _option("parareal", "fine_kind", _STR, default="all-at-once")
+    k_max: int = _option("parareal", "k_max", _INT, default=100)
+    compute_reference: bool = _option("output", "reference", _BOOL, default=True)
+    export_solution: bool = _option("output", "export_solution", _BOOL, default=True)
 
     def validate(self) -> "ExperimentConfig":
         """Raise ConfigError unless every field is finite and in range; the
@@ -134,14 +192,8 @@ class ExperimentConfig:
         return TimeGrid(self.t_end, n, self.substeps if self.substeps else n)
 
 
-def _parse_ranges(text: str, cast=int) -> tuple:
-    """Parse 'a:b, c:d' into (a, b, c, d)."""
-    parts = [p.strip() for p in text.split(",")]
-    out = []
-    for part in parts:
-        lo, hi = part.split(":")
-        out.extend([cast(lo), cast(hi)])
-    return tuple(out)
+# (field name, section, option, parse, format) per config field
+_OPTIONS = [(f.name, *f.metadata["ini"]) for f in fields(ExperimentConfig)]
 
 
 def read_config_file(path) -> configparser.ConfigParser:
@@ -157,103 +209,33 @@ def load_config(path) -> ExperimentConfig:
     return config_from_parser(read_config_file(path))
 
 
-def check_options(parser: configparser.ConfigParser) -> None:
-    """Raise ConfigError for any section or option that config_from_parser does not read.
-
-    The known entries are those config_to_parser writes.
-    """
-    known = config_to_parser(ExperimentConfig())
+def config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
+    """The declared options parser sets, the defaults for the rest; any
+    other section or option is a ConfigError."""
+    known = {(section, option) for _, section, option, _, _ in _OPTIONS}
     for section in parser.sections():
-        if not known.has_section(section):
+        if section not in {s for s, _ in known}:
             raise ConfigError(f"unknown section [{section}]")
         for option in parser.options(section):
-            if not known.has_option(section, option):
+            if (section, option) not in known:
                 raise ConfigError(f"unknown option {section}.{option}")
-
-
-def config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
-    check_options(parser)
-    try:
-        cfg = ExperimentConfig()
-        if parser.has_section("grid"):
-            g = parser["grid"]
-            cfg.nx = g.getint("nx", cfg.nx)
-            cfg.blocks = g.getint("blocks", cfg.blocks)
-            cfg.layers = g.getint("layers", cfg.layers)
-        if parser.has_section("field"):
-            f = parser["field"]
-            cfg.background = f.getfloat("background", cfg.background)
-            cfg.contrast = f.getfloat("contrast", cfg.contrast)
-            raw = f.get("channels", "").strip()
-            cfg.channels = [
-                _parse_ranges(line) for line in raw.splitlines() if line.strip()
-            ]
-        if parser.has_section("source"):
-            s = parser["source"]
-            cfg.source_kind = s.get("kind", cfg.source_kind).strip()
-            cfg.source_amplitude = s.getfloat("amplitude", cfg.source_amplitude)
-            region = s.get("region", "").strip()
-            if region:
-                if cfg.source_kind == "point":
-                    cfg.source_region = tuple(int(v) for v in region.split(","))
-                else:
-                    cfg.source_region = _parse_ranges(region, cast=float)
-        if parser.has_section("time"):
-            cfg.t_end = parser["time"].getfloat("t_end", cfg.t_end)
-        if parser.has_section("parareal"):
-            p = parser["parareal"]
-            if p.get("n_values", "").strip():
-                cfg.n_values = tuple(int(v) for v in p.get("n_values").split())
-            cfg.substeps = p.getint("substeps", cfg.substeps)
-            cfg.alpha = p.getfloat("alpha", cfg.alpha)
-            cfg.epsilon = p.getfloat("epsilon", cfg.epsilon)
-            cfg.fine_kind = p.get("fine_kind", cfg.fine_kind).strip()
-            cfg.k_max = p.getint("k_max", cfg.k_max)
-        if parser.has_section("output"):
-            o = parser["output"]
-            cfg.compute_reference = o.getboolean("reference", cfg.compute_reference)
-            cfg.export_solution = o.getboolean("export_solution", cfg.export_solution)
-        return cfg.validate()
-    except (ValueError, KeyError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
+    cfg = ExperimentConfig()
+    for name, section, option, parse, _ in _OPTIONS:
+        if parser.has_option(section, option):
+            try:
+                setattr(cfg, name, parse(parser.get(section, option).strip(), cfg))
+            except (ValueError, KeyError, configparser.Error) as exc:
+                raise ConfigError(f"{section}.{option}: {exc}") from exc
+    return cfg.validate()
 
 
 def config_to_parser(cfg: ExperimentConfig) -> configparser.ConfigParser:
     """Resolved configuration as a ConfigParser (round-trips through load)."""
     parser = configparser.ConfigParser()
-    parser["grid"] = {
-        "nx": str(cfg.nx),
-        "blocks": str(cfg.blocks),
-        "layers": str(cfg.layers),
-    }
-    parser["field"] = {
-        "background": repr(cfg.background),
-        "contrast": repr(cfg.contrast),
-        "channels": "\n" + "\n".join(f"{c[0]}:{c[1]}, {c[2]}:{c[3]}" for c in cfg.channels),
-    }
-    r = cfg.source_region
-    if r is None:
-        region = ""
-    elif cfg.source_kind == "point":
-        region = f"{r[0]}, {r[1]}"
-    else:
-        region = f"{r[0]}:{r[1]}, {r[2]}:{r[3]}"
-    parser["source"] = {"kind": cfg.source_kind, "amplitude": repr(cfg.source_amplitude), "region": region}
-    parser["time"] = {"t_end": repr(cfg.t_end)}
-    parser["parareal"] = {
-        "n_values": " ".join(str(n) for n in cfg.n_values),
-        "substeps": str(cfg.substeps),
-        "alpha": repr(cfg.alpha),
-        "epsilon": repr(cfg.epsilon),
-        "fine_kind": cfg.fine_kind,
-        "k_max": str(cfg.k_max),
-    }
-    parser["output"] = {
-        "reference": str(cfg.compute_reference),
-        "export_solution": str(cfg.export_solution),
-    }
+    for name, section, option, _, fmt in _OPTIONS:
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser.set(section, option, fmt(getattr(cfg, name), cfg))
     return parser
 
 

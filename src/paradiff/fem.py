@@ -42,27 +42,23 @@ MASS_REF = np.array(
 
 @dataclass
 class FineGrid:
-    """Uniform grid of square cells on [0,1]^2.
+    """Uniform grid of nx x nx square cells on [0,1]^2.
 
     Nodes are numbered row-major: node (ix, iy) has index iy*(nx+1) + ix.
     Cells likewise: cell (cx, cy) has index cy*nx + cx. Interior nodes are
-    the nodes with 0 < ix < nx and 0 < iy < ny, kept in ascending node order.
+    the nodes with 0 < ix, iy < nx, kept in ascending node order.
     """
 
     nx: int
-    ny: int
     h: float = field(init=False)
     interior: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.nx != self.ny:
-            raise ValueError(f"grid must be square, got nx={self.nx} ny={self.ny}")
         if self.nx < 2:
             raise ValueError("need at least 2 cells per axis for interior nodes")
         self.h = 1.0 / self.nx
-        ix = np.arange(1, self.nx)
-        iy = np.arange(1, self.ny)
-        self.interior = (iy[:, None] * (self.nx + 1) + ix[None, :]).ravel()
+        i = np.arange(1, self.nx)
+        self.interior = (i[:, None] * (self.nx + 1) + i[None, :]).ravel()
         cells = np.arange(self.n_cells)
         n00 = (cells // self.nx) * (self.nx + 1) + cells % self.nx
         self._connectivity = np.stack(
@@ -72,15 +68,15 @@ class FineGrid:
 
     @property
     def n_nodes(self) -> int:
-        return (self.nx + 1) * (self.ny + 1)
+        return (self.nx + 1) ** 2
 
     @property
     def n_cells(self) -> int:
-        return self.nx * self.ny
+        return self.nx**2
 
     @property
     def n_interior(self) -> int:
-        return (self.nx - 1) * (self.ny - 1)
+        return (self.nx - 1) ** 2
 
     def cell_connectivity(self) -> np.ndarray:
         """(n_cells, 4) node indices per cell in (SW, SE, NE, NW) order, read-only.
@@ -90,13 +86,6 @@ class FineGrid:
         """
         return self._connectivity
 
-    def node_coords(self) -> np.ndarray:
-        """(n_nodes, 2) coordinates in row-major node order."""
-        ix = np.arange(self.nx + 1)
-        iy = np.arange(self.ny + 1)
-        xg, yg = np.meshgrid(ix * self.h, iy * self.h)
-        return np.column_stack([xg.ravel(), yg.ravel()])
-
     def cell_centers(self) -> np.ndarray:
         cells = np.arange(self.n_cells)
         cx = cells % self.nx
@@ -104,9 +93,9 @@ class FineGrid:
         return np.column_stack([(cx + 0.5) * self.h, (cy + 0.5) * self.h])
 
 
-def build_fine_grid(nx: int, ny: int | None = None) -> FineGrid:
+def build_fine_grid(nx: int) -> FineGrid:
     """Construct a square uniform grid with nx cells per axis."""
-    return FineGrid(nx, nx if ny is None else ny)
+    return FineGrid(nx)
 
 
 @dataclass(frozen=True)
@@ -119,9 +108,9 @@ class Channel:
     y1: int
 
     def cell_mask(self, grid: FineGrid) -> np.ndarray:
-        if not (0 <= self.x0 < self.x1 <= grid.nx and 0 <= self.y0 < self.y1 <= grid.ny):
-            raise ValueError(f"channel {self} exceeds grid bounds {grid.nx}x{grid.ny}")
-        mask = np.zeros((grid.ny, grid.nx), dtype=bool)
+        if not (0 <= self.x0 < self.x1 <= grid.nx and 0 <= self.y0 < self.y1 <= grid.nx):
+            raise ValueError(f"channel {self} exceeds grid bounds {grid.nx}x{grid.nx}")
+        mask = np.zeros((grid.nx, grid.nx), dtype=bool)
         mask[self.y0 : self.y1, self.x0 : self.x1] = True
         return mask.ravel()
 
@@ -137,8 +126,6 @@ class PermeabilityField:
 
     grid: FineGrid
     kappa: np.ndarray
-    background: float
-    contrast: float
 
     @property
     def threshold(self) -> float:
@@ -149,8 +136,8 @@ class PermeabilityField:
         return self.kappa > self.threshold
 
     def as_matrix(self) -> np.ndarray:
-        """Coefficient as an (ny, nx) array, one row per cell line."""
-        return self.kappa.reshape(self.grid.ny, self.grid.nx)
+        """Coefficient as an (nx, nx) array, one row per cell line."""
+        return self.kappa.reshape(self.grid.nx, self.grid.nx)
 
 
 def generate_field(
@@ -165,7 +152,7 @@ def generate_field(
     kappa = np.full(grid.n_cells, background, dtype=float)
     for ch in channels or []:
         kappa[ch.cell_mask(grid)] = background * contrast
-    return PermeabilityField(grid, kappa, background, contrast)
+    return PermeabilityField(grid, kappa)
 
 
 @dataclass(frozen=True)
@@ -191,7 +178,7 @@ class SourceSpec:
             return np.where(inside, self.amplitude, 0.0)
         if self.kind == "point":
             cx, cy = self.region
-            if not (0 <= cx < grid.nx and 0 <= cy < grid.ny):
+            if not (0 <= cx < grid.nx and 0 <= cy < grid.nx):
                 raise ValueError(f"point source cell {self.region} outside grid")
             vals = np.zeros(grid.n_cells)
             vals[cy * grid.nx + cx] = self.amplitude
@@ -307,11 +294,11 @@ def reference_solve(
 
 
 def node_values_on_grid(grid: FineGrid, interior_values: np.ndarray) -> np.ndarray:
-    """Expand an interior-node vector to the full (ny+1, nx+1) node lattice.
+    """Expand an interior-node vector to the full (nx+1, nx+1) node lattice.
 
     Boundary nodes get the Dirichlet value zero; rows follow grid lines
     bottom to top.
     """
     full = np.zeros(grid.n_nodes)
     full[grid.interior] = interior_values
-    return full.reshape(grid.ny + 1, grid.nx + 1)
+    return full.reshape(grid.nx + 1, grid.nx + 1)

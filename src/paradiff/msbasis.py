@@ -53,10 +53,6 @@ class CoarsePartition:
             raise ValueError("layers must be >= 0")
 
     @property
-    def H(self) -> float:
-        return 1.0 / self.nb
-
-    @property
     def n_blocks(self) -> int:
         return self.nb * self.nb
 
@@ -130,10 +126,6 @@ class ContinuumDecomposition:
     partition: CoarsePartition
     blocks: list[BlockContinua]
 
-    @property
-    def total_channel_parts(self) -> int:
-        return sum(b.m for b in self.blocks)
-
     def m_counts(self) -> list[int]:
         return [b.m for b in self.blocks]
 
@@ -146,7 +138,7 @@ def detect_continua(partition: CoarsePartition, field: PermeabilityField) -> Con
     region is empty contributes no matrix continuum (logged).
     """
     grid = partition.grid
-    mask = field.channel_mask.reshape(grid.ny, grid.nx)
+    mask = field.channel_mask.reshape(grid.nx, grid.nx)
     blocks = []
     for b in range(partition.n_blocks):
         x0, x1, y0, y1 = partition.block_rect(b)
@@ -259,10 +251,6 @@ class CoarseSystem:
     @property
     def d2(self) -> int:
         return self.M22.shape[0]
-
-    def mass_block(self) -> np.ndarray:
-        """Full coarse mass [[M11, M12], [M12^T, M22]]."""
-        return np.block([[self.M11, self.M12], [self.M12.T, self.M22]])
 
 
 @dataclass

@@ -10,8 +10,8 @@ waveform-relaxation all-at-once solver, whose tolerance follows from
 epsilon alone. Each iteration applies F only to the intervals whose input
 changed: an interval whose row in the latest iterate equals, bit for bit,
 its row in the one before reuses its stored fine output, which is exact
-because F is deterministic and an interval's start time is the same float
-at every iteration. At iteration k that holds for intervals 0..k-2. The
+because F is a deterministic function of the state (u, w) alone: the loads
+are constant in time. At iteration k that holds for intervals 0..k-2. The
 loop stops when the largest Euclidean update over the stacked (u, w)
 endpoint coefficients drops below epsilon, or at k_max.
 
@@ -220,7 +220,7 @@ def run_parareal(
             # what makes the run reproduce the sequential fine solution
             # after N iterations exactly
             vec = fin.stacked() + (g_new.stacked() - coarse_prev[n].stacked())
-            new_states.append(SplitState.fresh(vec[:d1], vec[d1:], fin.t))
+            new_states.append(SplitState.fresh(vec[:d1], vec[d1:]))
         coarse_seconds.append(time.perf_counter() - tic)
 
         history.append(np.array([s.stacked() for s in new_states]))

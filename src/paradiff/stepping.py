@@ -32,16 +32,15 @@ from .msbasis import CoarseSystem, MultiscaleSpace
 
 @dataclass
 class SplitState:
-    """Coarse coefficients (u, w) at time t."""
+    """Coarse coefficients (u, w)."""
 
     u: np.ndarray
     w: np.ndarray
-    t: float
 
     @classmethod
-    def fresh(cls, u: np.ndarray, w: np.ndarray, t: float = 0.0) -> "SplitState":
+    def fresh(cls, u: np.ndarray, w: np.ndarray) -> "SplitState":
         """State holding float copies of u and w."""
-        return cls(np.array(u, dtype=float), np.array(w, dtype=float), t)
+        return cls(np.array(u, dtype=float), np.array(w, dtype=float))
 
     def stacked(self) -> np.ndarray:
         return np.concatenate([self.u, self.w])
@@ -75,10 +74,6 @@ class ConstantLoads:
         self.f1 = np.asarray(f1, dtype=float)
         self.f2 = np.asarray(f2, dtype=float)
 
-    @classmethod
-    def zero(cls, system: CoarseSystem) -> "ConstantLoads":
-        return cls(np.zeros(system.d1), np.zeros(system.d2))
-
 
 def w_modes(system: CoarseSystem) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs (lam, V) of the pencil (A22, M22), lam ascending.
@@ -93,7 +88,6 @@ def w_modes(system: CoarseSystem) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class SplitTrajectory:
-    times: np.ndarray
     U: np.ndarray  # (n_steps + 1, d1)
     W: np.ndarray  # (n_steps + 1, d2)
     final: SplitState
@@ -188,7 +182,7 @@ class SplitPropagators:
         # LAPACK getrs, which lu_solve wraps in checks that cost more than the solve
         lu, piv = self._g_factor(dt)
         sol = dgetrs(lu, piv, rhs)[0]
-        return SplitState(sol[: s.d1], sol[s.d1 :], state.t + dt)
+        return SplitState(sol[: s.d1], sol[s.d1 :])
 
     def fine_interval(self, state: SplitState, dt_interval: float, substeps: int) -> SplitTrajectory:
         """Advance one coarse interval with substeps split steps.
@@ -206,8 +200,7 @@ class SplitPropagators:
         U = np.array(us[1:])
         W = np.array(zs[1:]) @ self.modes.T
         W[0] = state.w
-        final = SplitState(U[-1].copy(), W[-1].copy(), state.t + dt_interval)
-        return SplitTrajectory(state.t + dt * np.arange(substeps + 1), U, W, final)
+        return SplitTrajectory(U, W, SplitState(U[-1].copy(), W[-1].copy()))
 
     def stability_max_step(self) -> float:
         """Largest stable substep 2 / lambda_max(M22^{-1} A22); inf without a stiff w-part."""
@@ -225,10 +218,4 @@ def project_initial(u0_fine: np.ndarray, space: MultiscaleSpace, ops: FineOperat
     mu0 = ops.M @ np.asarray(u0_fine, dtype=float)
     u = np.linalg.solve(s.M11, space.Psi1.T @ mu0) if s.d1 else np.zeros(0)
     w = np.linalg.solve(s.M22, space.Psi2.T @ mu0) if s.d2 else np.zeros(0)
-    return SplitState.fresh(u, w, 0.0)
-
-
-def split_energy(system: CoarseSystem, state: SplitState) -> float:
-    """Squared fine-space L2 norm of the represented function."""
-    x = state.stacked()
-    return float(x @ (system.mass_block() @ x))
+    return SplitState.fresh(u, w)

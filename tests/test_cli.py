@@ -187,6 +187,21 @@ def test_substep_above_stability_bound_exits_1(tmp_path, capsys):
     assert "[stability N=3]" in err and "[run N=3]" not in err
 
 
+@pytest.mark.parametrize("where", ["file", "set"])
+def test_empty_n_values_exits_2(tmp_path, capsys, where):
+    """An empty interval list is an error, not the default list."""
+    path = tmp_path / "empty.ini"
+    if where == "file":
+        path.write_text("[parareal]\nn_values =\n")
+        args = ["run", "--config", str(path)]
+    else:
+        args = ["run", "--config", config_file(tmp_path), "--set", "parareal.n_values="]
+    out = tmp_path / "out"
+    assert cli.main(args + ["--out", str(out)]) == 2
+    assert "n_values is empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_stale_config_option_exits_2(tmp_path, capsys):
     path = tmp_path / "stale.ini"
     path.write_text("[parareal]\nalpha = 0.5\nworkers = 1\n")

@@ -1,6 +1,6 @@
 import configparser
 import csv
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +73,26 @@ def test_validation_errors():
         ExperimentConfig(n_values=()).validate()
     with pytest.raises(ConfigError):
         ExperimentConfig(nx=40, blocks=4, channels=[(5, 95, 14, 16)]).validate()
+
+
+@pytest.mark.parametrize("name", ["example1.ini", "example2.ini"])
+def test_shipped_config_sets_exactly_the_declared_options(name):
+    """A shipped file missing an option would silently take the default."""
+    parser = expmod.read_config_file(CONFIGS / name)
+    declared = {f.metadata["ini"][:2] for f in fields(ExperimentConfig)}
+    assert {(s, o) for s in parser.sections() for o in parser.options(s)} == declared
+
+
+def test_source_region_is_parsed_by_kind():
+    """A point cell 'cx, cy' is no region for other kinds, ranges are none for a point."""
+    for kind, region in [("constant", "3, 4"), ("box", "3, 4"), ("point", "0.2:0.4, 0.2:0.4")]:
+        parser = configparser.ConfigParser()
+        parser["source"] = {"kind": kind, "region": region}
+        with pytest.raises(ConfigError):
+            config_from_parser(parser)
+    parser = configparser.ConfigParser()
+    parser["source"] = {"kind": "point", "region": "3, 4"}
+    assert config_from_parser(parser).source_region == (3, 4)
 
 
 def test_time_grid_uses_n_for_substeps_by_default():

@@ -116,8 +116,6 @@ def test_field_validation():
 
 def test_grid_validation():
     with pytest.raises(ValueError):
-        build_fine_grid(3, 4)
-    with pytest.raises(ValueError):
         build_fine_grid(1)
 
 
@@ -160,8 +158,9 @@ def test_backward_euler_eigenmode_decay():
     """
     grid = build_fine_grid(12)
     ops = assemble_fine(grid, generate_field(grid))
-    xy = grid.node_coords()[grid.interior]
-    v = np.sin(np.pi * xy[:, 0]) * np.sin(np.pi * xy[:, 1])
+    # interior node (ix, iy) sits at (ix h, iy h), row-major
+    s = np.sin(np.pi * grid.h * np.arange(1, grid.nx))
+    v = np.outer(s, s).ravel()
     mv = ops.M @ v
     lam = float(v @ (ops.A @ v)) / float(v @ mv)
     assert np.linalg.norm(ops.A @ v - lam * mv) < 1e-12 * np.linalg.norm(ops.A @ v)

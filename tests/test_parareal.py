@@ -104,7 +104,7 @@ def reference_parareal(props, fine, initial, tg, iterations):
             g_new = props.coarse_step(new_states[n], tg.dt)
             coarse_new.append(g_new)
             vec = fin.stacked() + (g_new.stacked() - coarse_prev[n].stacked())
-            new_states.append(SplitState.fresh(vec[:d1], vec[d1:], fin.t))
+            new_states.append(SplitState.fresh(vec[:d1], vec[d1:]))
         history.append(np.array([s.stacked() for s in new_states]))
         states, coarse_prev = new_states, coarse_new
     return history
@@ -122,7 +122,7 @@ def test_settled_intervals_reuse_fine_solves(channel_pipeline, fine_kind):
     propagate = fine.propagate
 
     def counted(state):
-        calls.append(state.t)
+        calls.append(state)
         return propagate(state)
 
     fine.propagate = counted

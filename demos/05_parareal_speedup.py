@@ -4,8 +4,8 @@ Runs the one-channel 60x60 setup with N = 16 intervals and M = 16
 substeps per interval and prints the per-iteration correction sizes next
 to the true error against a fine backward Euler reference. Then, for
 several N, it times the sequential split scheme that parareal converges
-to, the parareal run as executed here (one core; each iteration solves
-the intervals whose input changed one after another), and the fine solve
+to, the parareal run as executed here (one core; iteration k solves
+intervals k-1..N-1 one after another), and the fine solve
 of every interval. The ideal parallel time assumes one core per interval,
 so that an iteration costs the slowest fine solve plus the serial coarse
 sweep; it only means something next to the measured sequential time,
@@ -21,7 +21,7 @@ from dataclasses import replace
 import numpy as np
 
 from paradiff.experiment import ExperimentConfig, build_pipeline, run_single
-from paradiff.parareal import ParerealConfig, build_fine_propagator, initial_sweep
+from paradiff.parareal import build_fine_propagator, initial_sweep
 from paradiff.stepping import SplitPropagators, project_initial
 
 
@@ -55,11 +55,7 @@ def costs(pipe, n):
         return state
 
     seq_s = statistics.median(timed(sequential)[0] for _ in range(3))
-    fine = build_fine_propagator(
-        ParerealConfig(time_grid=tg, alpha=cfg.alpha, epsilon=cfg.epsilon,
-                       k_max=cfg.k_max, fine_kind=cfg.fine_kind),
-        props,
-    )
+    fine = build_fine_propagator(cfg.fine_kind, props, tg, cfg.alpha, cfg.epsilon)
     starts = initial_sweep(props, initial, tg)[:-1]
     fine_s = max(timed(lambda: fine.propagate(s))[0] for s in starts)
     return seq_s, fine_s

@@ -74,7 +74,7 @@ def cmd_run(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = _load_with_overrides(args, example1_config())
-    n = args.n if args.n else cfg.n_values[0]
+    n = cfg.n_values[0] if args.n is None else args.n
     cfg = replace(cfg, n_values=(n,))
     report = run_experiment(cfg, args.out)
     r = report.results[0]
@@ -137,8 +137,8 @@ def run_checks(cfg) -> list[tuple[str, bool, str]]:
 
     n = cfg.n_values[0]
     tg = cfg.time_grid(n)
-    # the pipeline's own runs, without the reference: reusing the fine solves
-    # of settled intervals is exact only if the fine propagator is deterministic
+    # the pipeline's own runs, without the reference: the N-iteration
+    # exactness needs G(x) - G(x) = 0, so a deterministic coarse step
     runs = [run_single(pipe, n).run for _ in range(2)]
     same = len(runs[0].history) == len(runs[1].history) and all(
         np.array_equal(a, b) for a, b in zip(runs[0].history, runs[1].history)
@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="single parareal run")
     common(p_solve)
-    p_solve.add_argument("--n", type=int, default=0, help="interval count N")
+    p_solve.add_argument("--n", type=int, help="interval count N (default: the first configured)")
     p_solve.add_argument("--out", default="out", help="output directory")
     p_solve.set_defaults(func=cmd_solve)
 

@@ -38,7 +38,7 @@ from .fem import (
     reference_solve,
 )
 from .msbasis import MultiscaleSpace, build_multiscale_space, project_load, subspace_angle
-from .parareal import ParerealConfig, ParerealRun, build_fine_propagator, run_parareal
+from .parareal import ParerealRun, build_fine_propagator, run_parareal
 from .stepping import ConstantLoads, SplitPropagators, TimeGrid, project_initial
 from .util import save_matrix_txt, write_csv
 
@@ -165,6 +165,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown source kind {self.source_kind!r}")
         if self.source_kind != "constant" and self.source_region is None:
             raise ConfigError(f"source kind {self.source_kind!r} needs a region")
+        if self.source_kind == "constant" and self.source_region is not None:
+            raise ConfigError(f"a constant source takes no region, got {self.source_region}")
         r = self.source_region
         if self.source_kind == "box" and not (
             len(r) == 4 and 0 <= r[0] < r[1] <= 1 and 0 <= r[2] < r[3] <= 1
@@ -342,18 +344,12 @@ def run_single(pipe: Pipeline, n: int) -> RunResult:
             f"stability N={n}",
             f"substep {tg.dt_sub:.3e} exceeds the explicit stability bound {bound:.3e}",
         )
-    pconfig = ParerealConfig(
-        time_grid=tg,
-        alpha=cfg.alpha,
-        epsilon=cfg.epsilon,
-        k_max=cfg.k_max,
-        fine_kind=cfg.fine_kind,
-    )
-    fine = build_fine_propagator(pconfig, propagators)
+    fine = build_fine_propagator(cfg.fine_kind, propagators, tg, cfg.alpha, cfg.epsilon)
     initial = project_initial(np.zeros(pipe.grid.n_interior), pipe.space, pipe.ops)
-    run = run_parareal(pconfig, propagators, fine, initial)
+    run = run_parareal(propagators, fine, initial, tg, cfg.epsilon, cfg.k_max)
     if run.failed:
-        diverged = sum(run.fine_info[-1][i].get("stop_reason") == "diverged" for i in run.failed)
+        # every diverged solve of the last iteration is among the failed
+        diverged = sum(info.get("stop_reason") == "diverged" for info in run.fine_info[-1])
         raise ExperimentError(
             f"fine N={n}",
             f"waveform relaxation: {diverged} fine solves diverged and "
@@ -387,9 +383,10 @@ class ExperimentReport:
 def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
     """Execute every configured N and write all artifacts under out_dir.
 
-    Any stage failure removes the files written so far and re-raises with a
-    stage tag.
+    A bad config raises ConfigError before out_dir is made. Any stage
+    failure removes the files written so far and re-raises with a stage tag.
     """
+    cfg.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -445,15 +442,14 @@ def _emit_all(cfg, pipe, results, out: Path, written: list[Path]) -> None:
                 for k in range(len(r.run.fine_seconds))
             ],
         )
-        wr_rows = []
-        for k, sweep in enumerate(r.run.fine_info, start=1):
-            for interval, info in enumerate(sweep):
-                for j, res in enumerate(info.get("residuals", []), start=1):
-                    wr_rows.append((k, interval, j, res))
         write_csv(
             path(f"wr_residuals_N{r.n}.csv"),
             ["sweep", "interval", "iteration", "residual"],
-            wr_rows,
+            [
+                (k, n, j, res)
+                for k, n, info in r.run.fine_solves()
+                for j, res in enumerate(info.get("residuals", []), start=1)
+            ],
         )
         if cfg.export_solution:
             u, w = r.run.endpoint()

@@ -7,18 +7,16 @@ Iteration k produces states x_n^k at the interval endpoints via
 where G is the coupled one-step coarse solve and F propagates one interval
 with the fine substep scheme, either sequentially or through the
 waveform-relaxation all-at-once solver, whose tolerance follows from
-epsilon alone. Each iteration applies F only to the intervals whose input
-changed: an interval whose row in the latest iterate equals, bit for bit,
-its row in the one before reuses its stored fine output, which is exact
-because F is a deterministic function of the state (u, w) alone: the loads
-are constant in time. At iteration k that holds for intervals 0..k-2. The
-loop stops when the largest Euclidean update over the stacked (u, w)
-endpoint coefficients drops below epsilon, or at k_max.
+epsilon alone. Row n of the iterates is final from iterate n onward (Gander
+& Vandewalle, SISC 2007), so iteration k solves F and G only on intervals
+k-1..N-1 and copies rows 0..k-1 from the iterate before. The loop stops
+when the largest Euclidean update over the stacked (u, w) endpoint
+coefficients drops below epsilon, or at k_max.
 
 It also stops, not converged, at the first iteration whose fine solves
-leave the result meaningless: a solve that diverged, or an unconverged
-solve on intervals 0..k-1, which start from their final states and are
-never solved again.
+leave the result meaningless: a solve that diverged, an unconverged solve
+on interval k-1, which starts from its final state and is never solved
+again, or, at the last iteration, any unconverged solve.
 """
 
 from __future__ import annotations
@@ -33,15 +31,6 @@ from .allatonce import WaveformRelaxation
 from .stepping import SplitPropagators, SplitState, TimeGrid
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class ParerealConfig:
-    time_grid: TimeGrid
-    alpha: float
-    epsilon: float = 1e-14
-    k_max: int = 100
-    fine_kind: str = "all-at-once"
 
 
 class SequentialFine:
@@ -75,16 +64,17 @@ class AllAtOnceFine:
         }
 
 
-def build_fine_propagator(config: ParerealConfig, propagators: SplitPropagators):
-    tg = config.time_grid
-    if config.fine_kind == "sequential":
-        return SequentialFine(propagators, tg)
-    if config.fine_kind == "all-at-once":
+def build_fine_propagator(
+    kind: str, propagators: SplitPropagators, time_grid: TimeGrid, alpha: float, epsilon: float
+):
+    if kind == "sequential":
+        return SequentialFine(propagators, time_grid)
+    if kind == "all-at-once":
         # WR below the outer stopping regime, but not below round-off, where
         # it would only run into its max_iter cap
-        tol = min(1e-12, max(0.01 * config.epsilon, 1e-14))
-        return AllAtOnceFine(WaveformRelaxation(propagators, tg.substeps, tg.dt, config.alpha, tol))
-    raise ValueError(f"unknown fine propagator kind {config.fine_kind!r}")
+        tol = min(1e-12, max(0.01 * epsilon, 1e-14))
+        return AllAtOnceFine(WaveformRelaxation(propagators, time_grid.substeps, time_grid.dt, alpha, tol))
+    raise ValueError(f"unknown fine propagator kind {kind!r}")
 
 
 @dataclass
@@ -94,9 +84,8 @@ class ParerealRun:
     max_diffs: list[float]
     iterations: int
     converged: bool
-    # per iteration, per interval: the fine propagator's info dict, or
-    # {"converged": ..., "reused": True} where a settled input reused the
-    # previous output
+    # per iteration k: the fine propagator's info dict of each solve it
+    # made, for intervals k-1..N-1 in order
     fine_info: list[list[dict]]
     fine_seconds: list[float] = field(default_factory=list)
     coarse_seconds: list[float] = field(default_factory=list)
@@ -110,14 +99,15 @@ class ParerealRun:
         row = self.history[k][-1]
         return row[: self.d1], row[self.d1 :]
 
+    def fine_solves(self):
+        """(iteration k, interval n, info) of every fine solve, in order."""
+        for k, infos in enumerate(self.fine_info, start=1):
+            for n, info in enumerate(infos, start=k - 1):
+                yield k, n, info
+
     def wr_nonconverged(self) -> list[tuple[int, int]]:
-        """(iteration, interval) pairs whose fine solve hit max_iter."""
-        bad = []
-        for k, sweep in enumerate(self.fine_info):
-            for n, info in enumerate(sweep):
-                if not info.get("converged", True):
-                    bad.append((k + 1, n))
-        return bad
+        """(iteration, interval) pairs whose fine solve did not converge."""
+        return [(k, n) for k, n, info in self.fine_solves() if not info["converged"]]
 
 
 def max_state_diff(prev: np.ndarray, new: np.ndarray) -> float:
@@ -158,81 +148,70 @@ def initial_sweep(
 
 
 def run_parareal(
-    config: ParerealConfig,
     propagators: SplitPropagators,
     fine,
     initial: SplitState,
+    time_grid: TimeGrid,
+    epsilon: float,
+    k_max: int,
 ) -> ParerealRun:
     """Full parareal run.
 
     The correction sweep reuses the coarse values computed while building
     the previous iterate (for iteration 1, the initial sweep itself), so
-    each iteration costs the fine solves of the unsettled intervals plus N
-    new coarse solves. After N iterations the endpoints coincide with the
-    purely sequential fine solution by construction.
+    iteration k costs N-k+1 fine and N-k+1 coarse solves. After N
+    iterations the endpoints coincide with the purely sequential fine
+    solution by construction.
     """
-    tg = config.time_grid
-    n_int = tg.n_intervals
+    n_int = time_grid.n_intervals
     d1 = propagators.system.d1
     t_start = time.perf_counter()
 
-    states = initial_sweep(propagators, initial, tg)
+    states = initial_sweep(propagators, initial, time_grid)
     coarse_prev = states[1:]
     history = [np.array([s.stacked() for s in states])]
     max_diffs: list[float] = []
     fine_info: list[list[dict]] = []
     fine_seconds: list[float] = []
     coarse_seconds: list[float] = []
-    # per interval: (output, info) of its last fine solve
-    fine_outputs: list[tuple[SplitState, dict] | None] = [None] * n_int
     converged = False
     failed: list[int] = []
-    iterations = 0
 
-    for _ in range(config.k_max):
-        iterations += 1
+    for k in range(1, k_max + 1):
+        # rows 0..k-1 are final; intervals k-1..N-1 are solved again
+        first = min(k - 1, n_int)
         tic = time.perf_counter()
-        # the input of a stored output is the interval's row in history[-2]
-        stale = [
-            n for n in range(n_int)
-            if fine_outputs[n] is None or not np.array_equal(history[-1][n], history[-2][n])
-        ]
-        for n in stale:
-            fine_outputs[n] = fine.propagate(states[n])
+        outputs = [fine.propagate(states[n]) for n in range(first, n_int)]
         fine_seconds.append(time.perf_counter() - tic)
-        warn_fine_sweep(iterations, [fine_outputs[n][1] for n in stale])
-        fresh = set(stale)
-        fine_info.append([
-            info if n in fresh else {"converged": info["converged"], "reused": True}
-            for n, (_, info) in enumerate(fine_outputs)
-        ])
+        infos = [info for _, info in outputs]
+        warn_fine_sweep(k, infos)
+        fine_info.append(infos)
 
         tic = time.perf_counter()
-        new_states = [initial]
-        coarse_new = []
-        for n in range(n_int):
-            g_new = propagators.coarse_step(new_states[n], tg.dt)
-            coarse_new.append(g_new)
-            fin = fine_outputs[n][0]
-            # group the coarse difference first: once an interval's input
-            # state has settled, G(x) - G(x) cancels to exact zeros and the
+        new_states = states[: first + 1]
+        for n, (fin, _) in enumerate(outputs, start=first):
+            g_new = propagators.coarse_step(new_states[n], time_grid.dt)
+            # group the coarse difference first: on interval k-1, whose
+            # input has settled, G(x) - G(x) cancels to exact zeros and the
             # update passes the fine value through bit for bit, which is
             # what makes the run reproduce the sequential fine solution
             # after N iterations exactly
             vec = fin.stacked() + (g_new.stacked() - coarse_prev[n].stacked())
+            coarse_prev[n] = g_new
             new_states.append(SplitState.fresh(vec[:d1], vec[d1:]))
         coarse_seconds.append(time.perf_counter() - tic)
 
         history.append(np.array([s.stacked() for s in new_states]))
-        diff, stop = check_stop(history[-2], history[-1], config.epsilon)
+        diff, stop = check_stop(history[-2], history[-1], epsilon)
         max_diffs.append(diff)
-        states, coarse_prev = new_states, coarse_new
-        # intervals 0..k-1 start from their final states; once the loop
-        # ends, every interval's last solve is final
-        settled = n_int if stop or iterations == config.k_max else iterations
+        states = new_states
+        # interval k-1 starts from its final state; once the loop ends,
+        # every interval's last solve is final
+        last = stop or k == k_max
         failed = [
-            n for n, info in enumerate(fine_info[-1])
-            if info.get("stop_reason") == "diverged" or (n < settled and not info["converged"])
+            n for n, info in enumerate(infos, start=first)
+            if info.get("stop_reason") == "diverged"
+            or (not info["converged"] and (last or n == first))
         ]
         if failed or stop:
             converged = stop and not failed
@@ -242,7 +221,7 @@ def run_parareal(
         d1=d1,
         history=history,
         max_diffs=max_diffs,
-        iterations=iterations,
+        iterations=len(max_diffs),
         converged=converged,
         fine_info=fine_info,
         fine_seconds=fine_seconds,

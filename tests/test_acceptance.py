@@ -24,7 +24,7 @@ from paradiff.experiment import (
     run_single,
 )
 from paradiff.msbasis import CoarseSystem
-from paradiff.parareal import AllAtOnceFine, ParerealConfig, SequentialFine, run_parareal
+from paradiff.parareal import AllAtOnceFine, SequentialFine, run_parareal
 from paradiff.stepping import (
     ConstantLoads,
     SplitPropagators,
@@ -59,8 +59,7 @@ def test_endpoint_matches_sequential_fine_after_n_iterations(channel_pipeline):
         "all-at-once": AllAtOnceFine(WaveformRelaxation(props, tg.substeps, tg.dt, 0.5, tol=1e-13)),
     }
     for kind, fine in fines.items():
-        pconf = ParerealConfig(time_grid=tg, alpha=0.5, epsilon=0.0, k_max=10, fine_kind=kind)
-        run = run_parareal(pconf, props, fine, initial)
+        run = run_parareal(props, fine, initial, time_grid=tg, epsilon=0.0, k_max=10)
         assert run.iterations == 10
 
         state = initial

@@ -165,6 +165,7 @@ def test_invalid_config_value(tmp_path, capsys):
         (["source.kind=point", "source.region=500, 5"], "point source cell"),
         (["time.t_end=-1"], "t_end"),
         (["parareal.k_max=0"], "k_max"),
+        (["source.kind=constant"], "constant source takes no region"),
     ],
 )
 def test_out_of_range_value_exits_2(tmp_path, capsys, overrides, message):
@@ -174,6 +175,16 @@ def test_out_of_range_value_exits_2(tmp_path, capsys, overrides, message):
         args += ["--set", item]
     assert cli.main(args) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_solve_nonpositive_n_exits_2(tmp_path, capsys, n):
+    """--n 0 is no interval count, not a request for the configured one."""
+    out = tmp_path / "out"
+    rc = cli.main(["solve", "--config", config_file(tmp_path), "--n", n, "--out", str(out)])
+    assert rc == 2
+    assert "need every N >= 1" in capsys.readouterr().err
     assert not out.exists()
 
 

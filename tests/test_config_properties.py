@@ -104,11 +104,14 @@ BAD_VALUES = {
 @settings(max_examples=300, deadline=None)
 @given(valid_configs(), st.data())
 def test_out_of_range_value_is_config_error(cfg, data):
-    rule = data.draw(st.sampled_from(sorted(BAD_VALUES) + ["n_values", "box", "point"]))
+    rule = data.draw(st.sampled_from(sorted(BAD_VALUES) + ["n_values", "box", "point", "constant"]))
     if rule == "box":
         bad = _bad_box(cfg, data)
     elif rule == "point":
         bad = _bad_point(cfg, data)
+    elif rule == "constant":
+        region = data.draw(st.sampled_from([(0.3, 0.7, 0.3, 0.7), (0.1, 0.2)]))
+        bad = replace(cfg, source_kind="constant", source_region=region)
     elif rule == "n_values":
         bad = replace(cfg, n_values=cfg.n_values + (data.draw(st.integers(max_value=0)),))
     else:

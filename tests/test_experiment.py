@@ -267,10 +267,9 @@ def test_diverged_waveform_relaxation_fails_with_stage_tag():
 
 
 def test_unconverged_final_fine_solves_fail_with_stage_tag(monkeypatch):
-    def capped(config, propagators):
-        tg = config.time_grid
+    def capped(kind, propagators, time_grid, alpha, epsilon):
         return AllAtOnceFine(
-            WaveformRelaxation(propagators, tg.substeps, tg.dt, config.alpha, max_iter=2)
+            WaveformRelaxation(propagators, time_grid.substeps, time_grid.dt, alpha, max_iter=2)
         )
 
     monkeypatch.setattr(expmod, "build_fine_propagator", capped)
@@ -281,6 +280,19 @@ def test_unconverged_final_fine_solves_fail_with_stage_tag(monkeypatch):
     # only interval 0 starts from its final state at iteration 1
     assert str(err.value).endswith("1 behind the final endpoints did not converge, "
                                    "at iteration 1 on intervals [0]")
+
+
+def test_wr_residuals_label_each_solve_with_its_interval(tmp_path):
+    """Iteration k solves intervals k-1..N-1, and the CSV names them so."""
+    n = 3
+    cfg = tiny_config(
+        fine_kind="all-at-once", epsilon=0.0, k_max=n,
+        compute_reference=False, export_solution=False,
+    )
+    run_experiment(cfg, tmp_path / "out")
+    with (tmp_path / "out" / f"wr_residuals_N{n}.csv").open() as fh:
+        pairs = {(int(r["sweep"]), int(r["interval"])) for r in csv.DictReader(fh)}
+    assert pairs == {(k, m) for k in range(1, n + 1) for m in range(k - 1, n)}
 
 
 def test_run_single_error_series_tracks_iterations(tmp_path):

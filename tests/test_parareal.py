@@ -5,7 +5,6 @@ from paradiff.allatonce import WaveformRelaxation
 from paradiff.msbasis import CoarseSystem
 from paradiff.parareal import (
     AllAtOnceFine,
-    ParerealConfig,
     build_fine_propagator,
     initial_sweep,
     max_state_diff,
@@ -27,15 +26,13 @@ def make_run(pipe, *, n=6, substeps=4, fine_kind="sequential",
     """Parareal on pipe; wr_max_iter caps an all-at-once fine solver built by hand."""
     tg = TimeGrid(pipe.config.t_end, n, substeps)
     props = SplitPropagators(pipe.space.system, pipe.loads)
-    cfg = ParerealConfig(
-        time_grid=tg, alpha=alpha, epsilon=epsilon, k_max=k_max, fine_kind=fine_kind,
-    )
     if wr_max_iter is None:
-        fine = build_fine_propagator(cfg, props)
+        fine = build_fine_propagator(fine_kind, props, tg, alpha=alpha, epsilon=epsilon)
     else:
         fine = AllAtOnceFine(WaveformRelaxation(props, substeps, tg.dt, alpha, max_iter=wr_max_iter))
     initial = SplitState.fresh(np.zeros(pipe.space.d1), np.zeros(pipe.space.d2))
-    return run_parareal(cfg, props, fine, initial), fine, props, tg
+    run = run_parareal(props, fine, initial, time_grid=tg, epsilon=epsilon, k_max=k_max)
+    return run, fine, props, tg
 
 
 def test_max_state_diff_ignores_initial_row():
@@ -116,8 +113,7 @@ def test_settled_intervals_reuse_fine_solves(channel_pipeline, fine_kind):
     n, k = 6, 6
     tg = TimeGrid(pipe.config.t_end, n, 4)
     props = SplitPropagators(pipe.space.system, pipe.loads)
-    cfg = ParerealConfig(time_grid=tg, alpha=0.5, epsilon=0.0, k_max=k, fine_kind=fine_kind)
-    fine = build_fine_propagator(cfg, props)
+    fine = build_fine_propagator(fine_kind, props, tg, alpha=0.5, epsilon=0.0)
     calls = []
     propagate = fine.propagate
 
@@ -127,7 +123,7 @@ def test_settled_intervals_reuse_fine_solves(channel_pipeline, fine_kind):
 
     fine.propagate = counted
     initial = SplitState.fresh(np.zeros(pipe.space.d1), np.zeros(pipe.space.d2))
-    run = run_parareal(cfg, props, fine, initial)
+    run = run_parareal(props, fine, initial, time_grid=tg, epsilon=0.0, k_max=k)
     assert run.iterations == k
 
     h = run.history
@@ -136,10 +132,8 @@ def test_settled_intervals_reuse_fine_solves(channel_pipeline, fine_kind):
     )
     assert settled > 0
     assert len(calls) == n * k - settled
-    real = [info for sweep in run.fine_info for info in sweep if not info.get("reused")]
-    reused = [info for sweep in run.fine_info for info in sweep if info.get("reused")]
-    assert len(real) == n * k - settled and len(reused) == settled
-    assert all(info.keys() == {"converged", "reused"} for info in reused)
+    # iteration i records one entry per solve it made, on intervals i-1..n-1
+    assert [len(infos) for infos in run.fine_info] == [n - i + 1 for i in range(1, k + 1)]
 
     fine.propagate = propagate
     expected = reference_parareal(props, fine, initial, tg, k)
@@ -148,15 +142,45 @@ def test_settled_intervals_reuse_fine_solves(channel_pipeline, fine_kind):
         assert np.array_equal(a, b)
 
 
+def test_iteration_solves_only_unsettled_intervals(channel_pipeline):
+    """After the initial coarse sweep, iteration i makes n-i+1 fine solves,
+    then n-i+1 coarse solves, and none once i exceeds n."""
+    pipe = channel_pipeline
+    n, k = 5, 6
+    tg = TimeGrid(pipe.config.t_end, n, 2)
+    props = SplitPropagators(pipe.space.system, pipe.loads)
+    fine = build_fine_propagator("sequential", props, tg, alpha=0.5, epsilon=0.0)
+    calls = []
+    propagate, coarse_step = fine.propagate, props.coarse_step
+
+    def counted_fine(state):
+        calls.append("F")
+        return propagate(state)
+
+    def counted_coarse(state, dt):
+        calls.append("G")
+        return coarse_step(state, dt)
+
+    fine.propagate, props.coarse_step = counted_fine, counted_coarse
+    initial = SplitState.fresh(np.zeros(pipe.space.d1), np.zeros(pipe.space.d2))
+    run = run_parareal(props, fine, initial, time_grid=tg, epsilon=0.0, k_max=k)
+    assert run.iterations == k
+    expected = ["G"] * n
+    for i in range(1, k + 1):
+        expected += ["F"] * max(n - i + 1, 0) + ["G"] * max(n - i + 1, 0)
+    assert calls == expected
+    assert np.array_equal(run.history[-1], run.history[-2])
+
+
 def test_scalar_closed_form_solution():
     a, f, t_end = 6.0, 2.4, 0.8
     sysb = scalar_system(a)
     loads = ConstantLoads(np.array([f]), np.zeros(0))
     props = SplitPropagators(sysb, loads)
     tg = TimeGrid(t_end, 8, 16)
-    cfg = ParerealConfig(time_grid=tg, alpha=0.5, epsilon=1e-15, k_max=50)
-    fine = build_fine_propagator(cfg, props)
-    run = run_parareal(cfg, props, fine, SplitState.fresh(np.array([1.0]), np.zeros(0)))
+    fine = build_fine_propagator("all-at-once", props, tg, alpha=0.5, epsilon=1e-15)
+    initial = SplitState.fresh(np.array([1.0]), np.zeros(0))
+    run = run_parareal(props, fine, initial, time_grid=tg, epsilon=1e-15, k_max=50)
     assert run.converged
     kappa = 1.0 / (1.0 + tg.dt_sub * a)
     u_star = f / a
@@ -193,7 +217,7 @@ def test_wr_nonconverged_pairs_reported(channel_pipeline, caplog):
         )
     bad = run.wr_nonconverged()
     assert bad
-    assert all(1 <= k <= 2 and 0 <= n < 3 for k, n in bad)
+    assert all(1 <= k <= 2 and k - 1 <= n < 3 for k, n in bad)
     assert any("hit max_iter" in rec.message for rec in caplog.records)
 
 
@@ -206,7 +230,7 @@ def test_wr_warnings_combined_per_iteration(channel_pipeline, caplog):
     # one warning per iteration whose fine solves left intervals unconverged
     failing = [
         k for k, sweep in enumerate(run.fine_info, start=1)
-        if any(not info["converged"] and not info.get("reused") for info in sweep)
+        if any(not info["converged"] for info in sweep)
     ]
     wr_warnings = [rec for rec in caplog.records if "not converged" in rec.message]
     assert failing and len(wr_warnings) == len(failing)
@@ -217,14 +241,13 @@ def test_unknown_fine_kind_rejected(channel_pipeline):
     pipe = channel_pipeline
     tg = TimeGrid(pipe.config.t_end, 2, 2)
     props = SplitPropagators(pipe.space.system, pipe.loads)
-    cfg = ParerealConfig(time_grid=tg, alpha=0.5, fine_kind="magic")
     with pytest.raises(ValueError):
-        build_fine_propagator(cfg, props)
+        build_fine_propagator("magic", props, tg, alpha=0.5, epsilon=1e-14)
 
 
 def test_wr_tolerance_follows_epsilon(channel_pipeline):
     props = SplitPropagators(channel_pipeline.space.system, channel_pipeline.loads)
     tg = TimeGrid(0.005, 2, 2)
     for epsilon, tol in ((1e-8, 1e-12), (1e-14, 1e-14), (0.0, 1e-14)):
-        cfg = ParerealConfig(time_grid=tg, alpha=0.5, epsilon=epsilon)
-        assert build_fine_propagator(cfg, props).wr.tol == tol
+        fine = build_fine_propagator("all-at-once", props, tg, alpha=0.5, epsilon=epsilon)
+        assert fine.wr.tol == tol

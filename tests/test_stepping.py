@@ -4,7 +4,7 @@ import scipy.linalg as sla
 
 from paradiff import stepping
 from paradiff.msbasis import CoarseSystem
-from paradiff.parareal import ParerealConfig, build_fine_propagator
+from paradiff.parareal import build_fine_propagator
 from paradiff.stepping import (
     ConstantLoads,
     SplitPropagators,
@@ -213,8 +213,9 @@ def test_one_eigh_serves_wr_and_stability_bound(channel_pipeline, monkeypatch):
     monkeypatch.setattr(stepping, "eigh", counting_eigh)
     pipe = channel_pipeline
     props = SplitPropagators(pipe.space.system, pipe.loads)
-    cfg = ParerealConfig(time_grid=TimeGrid(pipe.config.t_end, 2, 4), alpha=0.5)
-    fine = build_fine_propagator(cfg, props)
+    fine = build_fine_propagator(
+        "all-at-once", props, TimeGrid(pipe.config.t_end, 2, 4), alpha=0.5, epsilon=1e-14
+    )
     bound = props.stability_max_step()
     fine.propagate(SplitState.fresh(np.zeros(pipe.space.d1), np.zeros(pipe.space.d2)))
     assert len(calls) == 1

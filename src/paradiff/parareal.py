@@ -70,8 +70,8 @@ def build_fine_propagator(
     if kind == "sequential":
         return SequentialFine(propagators, time_grid)
     if kind == "all-at-once":
-        # WR below the outer stopping regime, but not below round-off, where
-        # it would only run into its max_iter cap
+        # WR below the outer stopping regime but above round-off: a tol 1e3
+        # below the true residual's floor (1e-17 on example1) ends "diverged"
         tol = min(1e-12, max(0.01 * epsilon, 1e-14))
         return AllAtOnceFine(WaveformRelaxation(propagators, time_grid.substeps, time_grid.dt, alpha, tol))
     raise ValueError(f"unknown fine propagator kind {kind!r}")

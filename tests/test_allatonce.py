@@ -1,3 +1,6 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,9 @@ from paradiff.allatonce import (
     WaveformRelaxation,
     build_rhs,
 )
+from paradiff.experiment import build_pipeline, load_config
 from paradiff.msbasis import CoarseSystem
+from paradiff.parareal import build_fine_propagator
 from paradiff.stepping import ConstantLoads, SplitPropagators, SplitState, project_initial
 
 
@@ -214,3 +219,54 @@ def test_wr_nonconvergence_is_flagged(channel_pipeline):
     res = WaveformRelaxation(props, 10, 5e-4, 0.5, tol=1e-13, max_iter=3).solve(state)
     assert not res.converged
     assert res.stop_reason == "max_iter"
+
+
+def test_wr_reports_one_residual_per_allatonce_solve(
+    channel_pipeline, homogeneous_pipeline, monkeypatch
+):
+    """iterations and the residual history count the all-at-once solves the
+    solve made: converged, capped at max_iter at several points of a Krylov
+    cycle, and without u-unknowns."""
+    calls = []
+    original = ImplicitAllAtOnce.solve
+
+    def counted(self, rhs):
+        calls.append(1)
+        return original(self, rhs)
+
+    monkeypatch.setattr(ImplicitAllAtOnce, "solve", counted)
+    channel = SplitPropagators(channel_pipeline.space.system, channel_pipeline.loads)
+    w_only = SplitPropagators(homogeneous_pipeline.space.system, homogeneous_pipeline.loads)
+    cases = [(channel, 400, ("tol", "floor"))]
+    cases += [(channel, cap, ("max_iter",)) for cap in (1, 2, 3, 7, 12)]
+    cases += [(w_only, 400, ("tol",))]
+    for props, max_iter, reasons in cases:
+        state = SplitState.fresh(np.zeros(props.system.d1), np.zeros(props.system.d2))
+        calls.clear()
+        res = WaveformRelaxation(props, 10, 5e-4, 0.5, tol=1e-13, max_iter=max_iter).solve(state)
+        assert res.stop_reason in reasons, (max_iter, res.stop_reason)
+        assert res.iterations == len(res.residuals) == len(calls), (max_iter, len(calls))
+        if reasons == ("max_iter",):
+            assert res.iterations == max_iter
+
+
+def test_wr_converges_on_example2_window():
+    """Example2, N = 20, alpha 0.6, from the sequential state after three
+    intervals: plain waveform relaxation stalls here at a gap of 3e-7."""
+    cfg = replace(
+        load_config(Path(__file__).resolve().parents[1] / "configs" / "example2.ini"),
+        compute_reference=False, export_solution=False,
+    )
+    assert cfg.alpha == 0.6
+    pipe = build_pipeline(cfg)
+    tg = cfg.time_grid(20)
+    props = SplitPropagators(pipe.space.system, pipe.loads)
+    state = project_initial(np.zeros(pipe.grid.n_interior), pipe.space, pipe.ops)
+    for _ in range(3):
+        state = props.fine_interval(state, tg.dt, tg.substeps).final
+    wr = build_fine_propagator(cfg.fine_kind, props, tg, cfg.alpha, cfg.epsilon).wr
+    res = wr.solve(state)
+    assert res.converged and res.stop_reason != "max_iter"
+    seq = props.fine_interval(state, tg.dt, tg.substeps).final.stacked()
+    gap = np.linalg.norm(res.trajectory.final.stacked() - seq)
+    assert gap <= 1e-10 * np.linalg.norm(seq)

@@ -64,7 +64,7 @@ def main():
     for dt_int in (5e-4, 2.5e-3, 5e-3, 1e-2, 2e-2):
         cells = []
         for a in alphas:
-            wr = WaveformRelaxation(props, m, dt_int, a, tol=1e-12, max_iter=5000)
+            wr = WaveformRelaxation(props, m, dt_int, a, tol=1e-12)
             res = wr.solve(state)
             if res.converged:
                 cells.append("%6d  (%6.3f)" % (res.iterations, tail_ratio(res.residuals)))

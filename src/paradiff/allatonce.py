@@ -32,7 +32,7 @@ from the propagators and calls its `solve`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -120,7 +120,9 @@ class ImplicitAllAtOnce:
 
 
 def build_rhs(
-    system: CoarseSystem,
+    M11: np.ndarray,
+    M12: np.ndarray,
+    A12: np.ndarray,
     f1_rows: np.ndarray,
     u_start: np.ndarray,
     w_start: np.ndarray,
@@ -138,8 +140,8 @@ def build_rhs(
     """
     w_hist = np.concatenate((w_start[None], w_start[None], w_rows_prev[:-1]))
     dw = (w_hist[1:] - w_hist[:-1]) / dt
-    rhs = f1_rows - dw @ system.M12.T - w_hist[1:] @ system.A12.T
-    rhs[0] += system.M11 @ (u_start - alpha * u_final_prev) / dt
+    rhs = f1_rows - dw @ M12.T - w_hist[1:] @ A12.T
+    rhs[0] += M11 @ (u_start - alpha * u_final_prev) / dt
     return rhs
 
 
@@ -158,14 +160,12 @@ def _max_row_norm(x: np.ndarray) -> float:
     return float(np.sqrt((x * x).sum(axis=1).max()))
 
 
-def _stop_reason(r: float, before: float, tol: float, capped: bool) -> str | None:
-    """Why the solve stops at the true residual r, or None: "tol", "max_iter"
-    once the sweeps are spent, else, unless the cycle since the true residual
-    `before` cut it 10-fold, "floor" within 1e3*tol and "diverged" beyond."""
+def _stop_reason(r: float, before: float, tol: float) -> str | None:
+    """Why the solve stops at the true residual r, or None: "tol", else,
+    unless the cycle since the true residual `before` cut it 10-fold,
+    "floor" within 1e3*tol and "diverged" beyond."""
     if r <= tol:
         return "tol"
-    if capped and np.isfinite(r):
-        return "max_iter"
     if 10.0 * r <= before:
         return None
     return "floor" if r <= 1e3 * tol else "diverged"
@@ -211,7 +211,10 @@ class WaveformRelaxation:
     product; a sweep after each cycle gives `_stop_reason` the true residual,
     the max-over-substeps update of u plus that of w. `residuals` has one
     entry per sweep, GMRES's estimate inside a cycle. The default tol 1e-14
-    is the pipeline's; `parareal.warn_fine_sweep` reports the result's flags.
+    is the pipeline's. No sweep cap is needed: a cycle costs at most
+    min(60, M*d1) + 1 sweeps and must cut the true residual 10-fold, else
+    the solve ends converged ("floor" within 1e3*tol) or "diverged". With
+    d1 = 0 the w-sweep reads no u iterate and the second sweep is exact.
     """
 
     def __init__(
@@ -221,14 +224,12 @@ class WaveformRelaxation:
         dt_interval: float,
         alpha: float,
         tol: float = 1e-14,
-        max_iter: int = 400,
     ):
         self.propagators = propagators
         self.substeps = substeps
         self.dt = dt_interval / substeps
         self.alpha = alpha
         self.tol = tol
-        self.max_iter = max_iter
         self.implicit = ImplicitAllAtOnce(propagators.system, substeps, self.dt, alpha)
         # in the modes the w-step is z_s = mu z_{s-1} + h_s, mu = 1 - dt lam
         # (`SplitPropagators.split_step`). Over the window z_s = mu^s z_0 +
@@ -241,10 +242,8 @@ class WaveformRelaxation:
         self._unroll = np.ascontiguousarray(np.where(lag >= 0, powers[:, np.maximum(lag, 0)], 0.0))
         self._m12_t = propagators.m12_modes_t
         self._a12_dt_t = self.dt * propagators.a12_modes_t
-        # the system in the w-modes, w = V z, so that build_rhs reads z
-        self._modal_system = replace(
-            propagators.system, M12=propagators.m12_modes, A12=propagators.a12_modes,
-            M22=np.eye(propagators.lam.size), A22=np.diag(propagators.lam))
+        # the couplings in the w-modes, w = V z, so that build_rhs reads z
+        self._rhs_blocks = (propagators.system.M11, propagators.m12_modes, propagators.a12_modes)
 
     def _sweep_z(self, h_t: np.ndarray) -> np.ndarray:
         """sum_{j<=s} mu^{s-j} h_j for every substep s; h_t and the result are (d2, M)."""
@@ -260,7 +259,7 @@ class WaveformRelaxation:
 
     def _u_rows(self, u_rows: np.ndarray, z_rows: np.ndarray, start: tuple) -> np.ndarray:
         f1_rows, u0, z0, _ = start
-        rhs = build_rhs(self._modal_system, f1_rows, u0, z0, z_rows, u_rows[-1], self.dt, self.alpha)
+        rhs = build_rhs(*self._rhs_blocks, f1_rows, u0, z0, z_rows, u_rows[-1], self.dt, self.alpha)
         return self.implicit.solve(rhs)
 
     def solve(self, state: SplitState) -> WRResult:
@@ -283,16 +282,15 @@ class WaveformRelaxation:
             u_new = self._u_rows(x, z, start)
             z_new = self._z_rows(u_new, start)
             residuals.append(_max_row_norm(u_new - x) + _max_row_norm((z_new - z) @ self.modes.T))
-            reason = _stop_reason(residuals[-1], before, self.tol, len(residuals) >= self.max_iter)
+            reason = _stop_reason(residuals[-1], before, self.tol)
             if reason:
                 break
-            # one sweep of the budget is kept for the true residual after the cycle
-            steps = min(_RESTART, x.size, self.max_iter - len(residuals) - 1)
-            if len(residuals) == 1 or steps == 0:  # the seed's w rows are no w-sweep of its u rows
+            if len(residuals) == 1:  # the seed's w rows are no w-sweep of its u rows
                 x, z = u_new, z_new
                 continue
             # aim 10x below tol: the true residual must pass without another cycle
             before = residuals[-1]
+            steps = min(_RESTART, x.size)  # at most one product per unknown
             x = _gmres_cycle(apply, x, u_new - x, steps, before, 0.1 * self.tol, residuals)
             z = self._z_rows(x, start)
 

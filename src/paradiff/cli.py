@@ -53,9 +53,12 @@ def _load_with_overrides(args, default_cfg) -> "expmod.ExperimentConfig":
         except ValueError as exc:
             raise ConfigError(f"--set expects section.key=value, got {item!r}") from exc
         section, option = section.strip(), option.strip()
-        if not parser.has_section(section):
-            parser.add_section(section)
-        parser.set(section, option, value.strip())
+        try:
+            if not parser.has_section(section):
+                parser.add_section(section)
+            parser.set(section, option, value.strip())
+        except ValueError as exc:  # a stray '%' or the section DEFAULT
+            raise ConfigError(f"--set {item!r}: {exc}") from exc
     # config_from_parser rejects unknown sections and options, from --set too
     return expmod.config_from_parser(parser)
 

@@ -13,10 +13,9 @@ k-1..N-1 and copies rows 0..k-1 from the iterate before. The loop stops
 when the largest Euclidean update over the stacked (u, w) endpoint
 coefficients drops below epsilon, or at k_max.
 
-It also stops, not converged, at the first iteration whose fine solves
-leave the result meaningless: a solve that diverged, an unconverged solve
-on interval k-1, which starts from its final state and is never solved
-again, or, at the last iteration, any unconverged solve.
+It also stops, not converged, at the first iteration with a fine solve
+that did not converge, which for waveform relaxation means one that
+diverged.
 """
 
 from __future__ import annotations
@@ -90,8 +89,8 @@ class ParerealRun:
     fine_seconds: list[float] = field(default_factory=list)
     coarse_seconds: list[float] = field(default_factory=list)
     total_seconds: float = 0.0
-    # intervals whose fine solve in the last iteration leaves the result
-    # meaningless; the loop stops at the first iteration with any
+    # intervals whose fine solve in the last iteration did not converge;
+    # the loop stops at the first iteration with any
     failed: list[int] = field(default_factory=list)
 
     def endpoint(self, k: int = -1) -> tuple[np.ndarray, np.ndarray]:
@@ -105,10 +104,6 @@ class ParerealRun:
             for n, info in enumerate(infos, start=k - 1):
                 yield k, n, info
 
-    def wr_nonconverged(self) -> list[tuple[int, int]]:
-        """(iteration, interval) pairs whose fine solve did not converge."""
-        return [(k, n) for k, n, info in self.fine_solves() if not info["converged"]]
-
 
 def max_state_diff(prev: np.ndarray, new: np.ndarray) -> float:
     """Largest Euclidean update over interval endpoints n = 1..N."""
@@ -116,17 +111,7 @@ def max_state_diff(prev: np.ndarray, new: np.ndarray) -> float:
 
 
 def warn_fine_sweep(iteration: int, infos: list[dict]) -> None:
-    """One warning for the fine solves of an iteration that did not converge,
-    one for an all-at-once imaginary residue above 1e-9."""
-    bad = [info for info in infos if not info["converged"]]
-    if bad:
-        hit_max = sum(info.get("stop_reason") == "max_iter" for info in bad)
-        log.warning(
-            "iteration %d: waveform relaxation not converged on %d of %d intervals: "
-            "%d hit max_iter, %d diverged (largest final residual %.3e)",
-            iteration, len(bad), len(infos), hit_max, len(bad) - hit_max,
-            max(info["residuals"][-1] for info in bad),
-        )
+    """One warning for an all-at-once imaginary residue above 1e-9 in an iteration."""
     imag = max((info.get("imag_residue", 0.0) for info in infos), default=0.0)
     if imag > 1e-9:
         log.warning("iteration %d: all-at-once imaginary residue %.3e above 1e-9", iteration, imag)
@@ -205,14 +190,7 @@ def run_parareal(
         diff, stop = check_stop(history[-2], history[-1], epsilon)
         max_diffs.append(diff)
         states = new_states
-        # interval k-1 starts from its final state; once the loop ends,
-        # every interval's last solve is final
-        last = stop or k == k_max
-        failed = [
-            n for n, info in enumerate(infos, start=first)
-            if info.get("stop_reason") == "diverged"
-            or (not info["converged"] and (last or n == first))
-        ]
+        failed = [n for n, info in enumerate(infos, start=first) if not info["converged"]]
         if failed or stop:
             converged = stop and not failed
             break

@@ -140,7 +140,7 @@ def test_waveform_relaxation_matches_sequential_and_contracts_like_gamma_squared
     dt_int, m = 5e-3, 10
     worst, sweeps = 0.0, []
     for alpha in (0.1, 0.5, 0.9):
-        res = WaveformRelaxation(props, m, dt_int, alpha, tol=1e-13, max_iter=2000).solve(state)
+        res = WaveformRelaxation(props, m, dt_int, alpha, tol=1e-13).solve(state)
         assert res.converged
         sweeps.append(res.iterations)
         seq = props.fine_interval(state, dt_int, m)
@@ -159,7 +159,7 @@ def test_waveform_relaxation_matches_sequential_and_contracts_like_gamma_squared
     # identity mass blocks make gamma the largest singular value of M12
     assert np.linalg.svd(sysb.M12, compute_uv=False)[0] == gamma
     loads = ConstantLoads(np.array([1.0, 1.0]), np.array([1.0, -1.0]))
-    wr = WaveformRelaxation(SplitPropagators(sysb, loads), 8, 0.01, 0.1, tol=1e-13, max_iter=200)
+    wr = WaveformRelaxation(SplitPropagators(sysb, loads), 8, 0.01, 0.1, tol=1e-13)
     res = wr.solve(SplitState.fresh(np.zeros(2), np.zeros(2)))
     r = res.residuals
     ratios = [r[i + 1] / r[i] for i in range(2, min(8, len(r) - 1))]

@@ -160,12 +160,32 @@ def test_invalid_config_value(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        (b"[grid]\nnx = 10\nnx = 20\n", "option 'nx' in section 'grid' already exists"),
+        (b"nx = 10\n", "no section headers"),
+        (b"\xff\xfe[grid]\n", "can't decode byte 0xff"),
+    ],
+    ids=["duplicate-option", "no-section-header", "not-utf8"],
+)
+def test_malformed_config_file_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "malformed.ini"
+    path.write_bytes(text)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "overrides, message",
     [
         (["source.kind=point", "source.region=500, 5"], "point source cell"),
         (["time.t_end=-1"], "t_end"),
         (["parareal.k_max=0"], "k_max"),
         (["source.kind=constant"], "constant source takes no region"),
+        (["grid.nx=1%0"], "invalid interpolation syntax"),
+        (["DEFAULT.nx=3"], "Invalid section name"),
     ],
 )
 def test_out_of_range_value_exits_2(tmp_path, capsys, overrides, message):

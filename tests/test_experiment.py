@@ -23,8 +23,6 @@ from paradiff.experiment import (
     run_experiment,
     run_single,
 )
-from paradiff.allatonce import WaveformRelaxation
-from paradiff.parareal import AllAtOnceFine
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -264,22 +262,6 @@ def test_diverged_waveform_relaxation_fails_with_stage_tag():
     assert err.value.stage == "fine N=8"
     assert "8 fine solves diverged" in str(err.value)
     assert "at iteration 1 on intervals [0, 1, 2, 3, 4, 5, 6, 7]" in str(err.value)
-
-
-def test_unconverged_final_fine_solves_fail_with_stage_tag(monkeypatch):
-    def capped(kind, propagators, time_grid, alpha, epsilon):
-        return AllAtOnceFine(
-            WaveformRelaxation(propagators, time_grid.substeps, time_grid.dt, alpha, max_iter=2)
-        )
-
-    monkeypatch.setattr(expmod, "build_fine_propagator", capped)
-    with pytest.raises(ExperimentError) as err:
-        run_single(build_pipeline(tiny_config(compute_reference=False)), 3)
-    assert err.value.stage == "fine N=3"
-    assert "0 fine solves diverged" in str(err.value)
-    # only interval 0 starts from its final state at iteration 1
-    assert str(err.value).endswith("1 behind the final endpoints did not converge, "
-                                   "at iteration 1 on intervals [0]")
 
 
 def test_wr_residuals_label_each_solve_with_its_interval(tmp_path):

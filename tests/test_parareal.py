@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from paradiff.allatonce import WaveformRelaxation
 from paradiff.msbasis import CoarseSystem
 from paradiff.parareal import (
-    AllAtOnceFine,
     build_fine_propagator,
     initial_sweep,
     max_state_diff,
@@ -22,14 +20,11 @@ def scalar_system(a=6.0):
 
 
 def make_run(pipe, *, n=6, substeps=4, fine_kind="sequential",
-             epsilon=1e-14, k_max=100, alpha=0.5, wr_max_iter=None):
-    """Parareal on pipe; wr_max_iter caps an all-at-once fine solver built by hand."""
+             epsilon=1e-14, k_max=100, alpha=0.5):
+    """Parareal on pipe."""
     tg = TimeGrid(pipe.config.t_end, n, substeps)
     props = SplitPropagators(pipe.space.system, pipe.loads)
-    if wr_max_iter is None:
-        fine = build_fine_propagator(fine_kind, props, tg, alpha=alpha, epsilon=epsilon)
-    else:
-        fine = AllAtOnceFine(WaveformRelaxation(props, substeps, tg.dt, alpha, max_iter=wr_max_iter))
+    fine = build_fine_propagator(fine_kind, props, tg, alpha=alpha, epsilon=epsilon)
     initial = SplitState.fresh(np.zeros(pipe.space.d1), np.zeros(pipe.space.d2))
     run = run_parareal(props, fine, initial, time_grid=tg, epsilon=epsilon, k_max=k_max)
     return run, fine, props, tg
@@ -207,34 +202,6 @@ def test_history_and_timing_shapes(channel_pipeline):
     assert run.total_seconds > 0.0
     u, w = run.endpoint()
     assert u.size == channel_pipeline.space.d1 and w.size == channel_pipeline.space.d2
-
-
-def test_wr_nonconverged_pairs_reported(channel_pipeline, caplog):
-    with caplog.at_level("WARNING"):
-        run, *_ = make_run(
-            channel_pipeline, n=3, substeps=8, fine_kind="all-at-once",
-            k_max=2, epsilon=0.0, wr_max_iter=2,
-        )
-    bad = run.wr_nonconverged()
-    assert bad
-    assert all(1 <= k <= 2 and k - 1 <= n < 3 for k, n in bad)
-    assert any("hit max_iter" in rec.message for rec in caplog.records)
-
-
-def test_wr_warnings_combined_per_iteration(channel_pipeline, caplog):
-    with caplog.at_level("WARNING"):
-        run, *_ = make_run(
-            channel_pipeline, n=4, substeps=8, fine_kind="all-at-once",
-            k_max=3, epsilon=0.0, wr_max_iter=2,
-        )
-    # one warning per iteration whose fine solves left intervals unconverged
-    failing = [
-        k for k, sweep in enumerate(run.fine_info, start=1)
-        if any(not info["converged"] for info in sweep)
-    ]
-    wr_warnings = [rec for rec in caplog.records if "not converged" in rec.message]
-    assert failing and len(wr_warnings) == len(failing)
-    assert [rec.message.split(":")[0] for rec in wr_warnings] == [f"iteration {k}" for k in failing]
 
 
 def test_unknown_fine_kind_rejected(channel_pipeline):

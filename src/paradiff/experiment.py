@@ -178,6 +178,8 @@ class ExperimentConfig:
             raise ConfigError(f"point source cell {r} must be cx, cy inside the {self.nx}x{self.nx} grid")
         if not self.n_values:
             raise ConfigError("n_values is empty")
+        if len(set(self.n_values)) != len(self.n_values):
+            raise ConfigError(f"repeated N in n_values {self.n_values}")
         if not (min(self.n_values) >= 1 and self.substeps >= 0):
             raise ConfigError(
                 f"need every N >= 1 and substeps >= 0, got {self.n_values} and {self.substeps}"

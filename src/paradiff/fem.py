@@ -230,14 +230,14 @@ def assemble_load(grid: FineGrid, source: SourceSpec) -> np.ndarray:
 class FineOperators:
     """Assembled fine-scale operators.
 
-    full_stiffness acts on all nodes (no boundary condition); M and A act on
-    interior nodes only, ordered by grid.interior. The load method returns
-    the interior part of the consistent load vector.
+    M and A act on interior nodes only, ordered by grid.interior; a patch
+    solve with a zero-Dirichlet rim takes its stiffness as a principal
+    submatrix of A. The load method returns the interior part of the
+    consistent load vector.
     """
 
     grid: FineGrid
     field: PermeabilityField
-    full_stiffness: sp.csr_matrix
     M: sp.csr_matrix
     A: sp.csr_matrix
 
@@ -257,7 +257,6 @@ def assemble_fine(grid: FineGrid, field: PermeabilityField) -> FineOperators:
     return FineOperators(
         grid=grid,
         field=field,
-        full_stiffness=full_a,
         M=full_m[idx][:, idx].tocsr(),
         A=full_a[idx][:, idx].tocsr(),
     )

@@ -167,10 +167,6 @@ def _average_row(grid: FineGrid, cells: np.ndarray) -> np.ndarray:
     return w / (cells.size * grid.h**2)
 
 
-def _patch_stiffness(ops: FineOperators, nodes: np.ndarray) -> sp.csr_matrix:
-    return ops.full_stiffness[nodes][:, nodes].tocsr()
-
-
 @dataclass
 class BlockBasis:
     """Basis columns of one block on the global interior numbering."""
@@ -197,7 +193,12 @@ def build_nlmc_basis(
     """
     grid = partition.grid
     pnodes = partition.patch_interior_nodes(block)
-    a_loc = _patch_stiffness(ops, pnodes)
+    # patch-interior nodes are interior nodes of the grid, so the patch
+    # stiffness is a principal submatrix of the interior operator
+    inv_interior = np.full(grid.n_nodes, -1)
+    inv_interior[grid.interior] = np.arange(grid.n_interior)
+    local_to_interior = inv_interior[pnodes]
+    a_loc = ops.A[local_to_interior][:, local_to_interior]
     rows = []
     targets = {}
     for j in partition.patch_blocks(block):
@@ -214,9 +215,6 @@ def build_nlmc_basis(
 
     n_loc = pnodes.size
     comps, cols, worst = [], [], 0.0
-    inv_interior = np.full(grid.n_nodes, -1)
-    inv_interior[grid.interior] = np.arange(grid.n_interior)
-    local_to_interior = inv_interior[pnodes]
     for comp, row_id in sorted(targets.items()):
         rhs = np.zeros(n_loc + len(rows))
         rhs[n_loc + row_id] = 1.0
@@ -258,9 +256,10 @@ class MultiscaleSpace:
     """Split coarse space: Psi1 spans V_H1, Psi2 spans V_H2.
 
     Column 0 of Psi2 is the global mean of all block bases; the rest are the
-    matrix-continuum bases. Psi1 holds the channel bases with their
-    s-projection onto the mean removed. labels record (block, component) per
-    column, component 0 meaning matrix and -1 the mean column.
+    matrix-continuum bases but the last (see split_spaces). Psi1 holds the
+    channel bases with their s-projection onto the mean removed. labels
+    record (block, component) per column, component 0 meaning matrix and -1
+    the mean column.
     """
 
     partition: CoarsePartition
@@ -285,11 +284,7 @@ class MultiscaleSpace:
         return self.Psi1 @ u + self.Psi2 @ w
 
 
-def split_spaces(
-    decomp: ContinuumDecomposition,
-    bases: list[BlockBasis],
-    ops: FineOperators,
-) -> tuple[sp.csc_matrix, sp.csc_matrix, list, list]:
+def split_spaces(bases: list[BlockBasis], ops: FineOperators) -> tuple[sp.csc_matrix, sp.csc_matrix, list, list]:
     """Split the block bases into (Psi1, Psi2, labels1, labels2).
 
     The mean field psi_bar is the plain average of every basis column. Each
@@ -300,13 +295,20 @@ def split_spaces(
     like gamma^2, so the subtraction has to happen in this product; a
     kappa-weighted product leaves a near-constant component in V_H1 and
     drives gamma toward 1 at high contrast. V_H2 stacks psi_bar first, then
-    the matrix columns. The stacked set is then pruned to full rank (one
-    matrix column goes; see _prune_rank_deficiency), so on a channelized
-    field d1 equals the continuum count and d2 equals the block count.
-    """
-    grid = decomp.partition.grid
-    s_w = ops.M
+    the matrix columns.
 
+    With L raw columns, L psi_bar is the sum of every raw column, so psi_bar,
+    the matrix columns and the mean-subtracted channel columns carry one
+    exact dependency, in which every matrix column has coefficient 1.
+    Leaving out the last matrix column removes it and keeps the stacked
+    span. A channel column must not go instead: that would leave the
+    combination L psi_bar - (sum of matrix columns), which is the channel
+    basis sum, inside V_H2, and its tiny mass and contrast-scaled energy
+    would wreck the explicit stability bound of the w-update. So on a
+    channelized field d1 equals the channel continuum count and d2 the
+    block count. Without any matrix column the dependency lies inside V_H1,
+    and project_coarse, which checks the stacked set for full rank, raises.
+    """
     all_cols, chan, mat = [], [], []
     for bb in bases:
         for pos, comp in enumerate(bb.components):
@@ -314,8 +316,9 @@ def split_spaces(
             all_cols.append(col)
             (mat if comp == 0 else chan).append((bb.block, comp, col))
     psi_bar = np.mean(all_cols, axis=0)
-    s_bar = s_w @ psi_bar
+    s_bar = ops.M @ psi_bar
     denom = float(psi_bar @ s_bar)
+    mat = mat[:-1]
 
     cols1, labels1 = [], []
     for block, comp, col in chan:
@@ -327,61 +330,17 @@ def split_spaces(
 
     if not cols1:
         log.info("no channel continua found: V_H1 is empty (d1 = 0)")
-    psi1 = sp.csc_matrix(np.array(cols1).T if cols1 else np.zeros((grid.n_interior, 0)))
+    psi1 = sp.csc_matrix(np.array(cols1).T if cols1 else np.zeros((ops.grid.n_interior, 0)))
     psi2 = sp.csc_matrix(np.array(cols2).T)
-    psi1, psi2, labels1, labels2 = _prune_rank_deficiency(
-        psi1, psi2, labels1, labels2, ops.M
-    )
     return psi1, psi2, labels1, labels2
-
-
-def _prune_rank_deficiency(psi1, psi2, labels1, labels2, m_fine, tol: float = 1e-12):
-    """Drop columns until the stacked mass Gram is numerically full rank.
-
-    The stacked set carries one exact dependency by construction: psi_bar is
-    a rescaled sum of every raw basis, so {psi_bar, all matrix columns, all
-    mean-subtracted channel columns} has one null vector. Columns are removed
-    from the matrix side, last block first. Removing a channel column instead
-    would leave the combination (L psi_bar - sum of matrix columns) inside
-    V_H2; that combination equals the channel-basis sum, whose tiny mass and
-    contrast-scaled energy would wreck the explicit stability bound of the
-    w-update. The stacked span is unchanged either way.
-    """
-    while True:
-        stacked = sp.hstack([psi2, psi1]).tocsc()
-        gram = (stacked.T @ (m_fine @ stacked)).toarray()
-        vals, vecs = np.linalg.eigh(gram)
-        if gram.shape[0] == 0 or vals[0] > tol * max(vals[-1], 1e-300):
-            return psi1, psi2, labels1, labels2
-        d2 = psi2.shape[1]
-        matrix_cols = [k for k in range(d2) if labels2[k][1] == 0]
-        if matrix_cols:
-            drop = matrix_cols[-1]
-            log.info("stacked basis rank-deficient: dropping V_H2 column %s",
-                     labels2[drop])
-            keep = [k for k in range(d2) if k != drop]
-            psi2 = psi2[:, keep]
-            labels2 = [labels2[k] for k in keep]
-        elif psi1.shape[1] > 0:
-            null = vecs[:, 0]
-            j = int(np.argmax(np.abs(null[d2:])))
-            log.warning("dropping rank-deficient V_H1 column %s", labels1[j])
-            keep = [k for k in range(psi1.shape[1]) if k != j]
-            psi1 = psi1[:, keep]
-            labels1 = [labels1[k] for k in keep]
-        else:
-            drop = int(np.argmax(np.abs(vecs[:, 0])))
-            log.warning("dropping rank-deficient V_H2 column %s", labels2[drop])
-            keep = [k for k in range(d2) if k != drop]
-            psi2 = psi2[:, keep]
-            labels2 = [labels2[k] for k in keep]
 
 
 def project_coarse(psi1: sp.csc_matrix, psi2: sp.csc_matrix, ops: FineOperators) -> CoarseSystem:
     """Dense Galerkin blocks Psi_i^T X Psi_j for X in {mass, stiffness}.
 
     Diagonal blocks are symmetrized; the asymmetry removed this way is logged
-    because anything large would point at a broken assembly.
+    because anything large would point at a broken assembly. Raises
+    RuntimeError unless the stacked mass Gram is numerically full rank.
     """
 
     def blocks(x):
@@ -399,6 +358,12 @@ def project_coarse(psi1: sp.csc_matrix, psi2: sp.csc_matrix, ops: FineOperators)
     m11, m12, m22, masym = blocks(ops.M)
     a11, a12, a22, aasym = blocks(ops.A)
     log.debug("projection asymmetry: mass %.3e stiffness %.3e", masym, aasym)
+    vals = np.linalg.eigvalsh(np.block([[m11, m12], [m12.T, m22]]))
+    if not vals[0] > 1e-12 * vals[-1]:
+        raise RuntimeError(
+            f"split coarse space is rank-deficient: mass Gram eigenvalues "
+            f"span [{vals[0]:.3e}, {vals[-1]:.3e}]"
+        )
     return CoarseSystem(M11=m11, A11=a11, M12=m12, A12=a12, M22=m22, A22=a22)
 
 
@@ -430,7 +395,7 @@ def build_multiscale_space(ops: FineOperators, nb: int, layers: int = 3) -> Mult
     partition = build_coarse_partition(ops.grid, nb, layers)
     decomp = detect_continua(partition, ops.field)
     bases = [build_nlmc_basis(partition, decomp, ops, b) for b in range(partition.n_blocks)]
-    psi1, psi2, labels1, labels2 = split_spaces(decomp, bases, ops)
+    psi1, psi2, labels1, labels2 = split_spaces(bases, ops)
     system = project_coarse(psi1, psi2, ops)
     return MultiscaleSpace(
         partition=partition,

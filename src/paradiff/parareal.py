@@ -11,7 +11,8 @@ epsilon alone. Row n of the iterates is final from iterate n onward (Gander
 & Vandewalle, SISC 2007), so iteration k solves F and G only on intervals
 k-1..N-1 and copies rows 0..k-1 from the iterate before. The loop stops
 when the largest Euclidean update over the stacked (u, w) endpoint
-coefficients drops below epsilon, or at k_max.
+coefficients is at most epsilon, or at k_max. With epsilon = 0 it stops at
+iteration N + 1 at the latest, whose update is exactly zero.
 
 It also stops, not converged, at the first iteration with a fine solve
 that did not converge, which for waveform relaxation means one that
@@ -119,7 +120,7 @@ def warn_fine_sweep(iteration: int, infos: list[dict]) -> None:
 
 def check_stop(prev: np.ndarray, new: np.ndarray, epsilon: float) -> tuple[float, bool]:
     diff = max_state_diff(prev, new)
-    return diff, diff < epsilon
+    return diff, diff <= epsilon
 
 
 def initial_sweep(

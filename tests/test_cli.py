@@ -186,6 +186,7 @@ def test_malformed_config_file_exits_2(tmp_path, capsys, text, message):
         (["source.kind=constant"], "constant source takes no region"),
         (["grid.nx=1%0"], "invalid interpolation syntax"),
         (["DEFAULT.nx=3"], "Invalid section name"),
+        (["parareal.n_values=3 3"], "repeated"),
     ],
 )
 def test_out_of_range_value_exits_2(tmp_path, capsys, overrides, message):

@@ -44,7 +44,7 @@ def valid_configs(draw):
         source_amplitude=draw(st.floats(**finite)),
         source_region=region,
         t_end=draw(st.floats(min_value=0.0, exclude_min=True, **finite)),
-        n_values=tuple(draw(st.lists(st.integers(1, 100), min_size=1, max_size=5))),
+        n_values=tuple(draw(st.lists(st.integers(1, 100), min_size=1, max_size=5, unique=True))),
         substeps=draw(st.integers(0, 50)),
         alpha=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
         epsilon=draw(st.floats(min_value=0.0, **finite)),
@@ -104,7 +104,7 @@ BAD_VALUES = {
 @settings(max_examples=300, deadline=None)
 @given(valid_configs(), st.data())
 def test_out_of_range_value_is_config_error(cfg, data):
-    rule = data.draw(st.sampled_from(sorted(BAD_VALUES) + ["n_values", "box", "point", "constant"]))
+    rule = data.draw(st.sampled_from(sorted(BAD_VALUES) + ["n_values", "repeated_n", "box", "point", "constant"]))
     if rule == "box":
         bad = _bad_box(cfg, data)
     elif rule == "point":
@@ -114,6 +114,8 @@ def test_out_of_range_value_is_config_error(cfg, data):
         bad = replace(cfg, source_kind="constant", source_region=region)
     elif rule == "n_values":
         bad = replace(cfg, n_values=cfg.n_values + (data.draw(st.integers(max_value=0)),))
+    elif rule == "repeated_n":
+        bad = replace(cfg, n_values=cfg.n_values + (data.draw(st.sampled_from(cfg.n_values)),))
     else:
         bad = replace(cfg, **{rule: data.draw(BAD_VALUES[rule])})
     with pytest.raises(ConfigError):

@@ -10,6 +10,7 @@ from paradiff.msbasis import (
     build_multiscale_space,
     build_nlmc_basis,
     detect_continua,
+    project_coarse,
     project_load,
     subspace_angle,
 )
@@ -217,6 +218,13 @@ def test_fully_channel_block():
     s = space.system
     vals = np.linalg.eigvalsh(np.block([[s.M11, s.M12], [s.M12.T, s.M22]]))
     assert vals[0] > 0
+
+
+def test_rank_deficient_split_raises(channel_pipeline):
+    space = channel_pipeline.space
+    psi2 = sp.hstack([space.Psi2, space.Psi2[:, 1]]).tocsc()
+    with pytest.raises(RuntimeError, match="rank-deficient"):
+        project_coarse(space.Psi1, psi2, channel_pipeline.ops)
 
 
 def test_coarse_system_spd_blocks(channel_pipeline):

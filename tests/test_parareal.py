@@ -191,6 +191,14 @@ def test_converges_before_n_on_smooth_case(homogeneous_pipeline):
     assert run.max_diffs[-1] < 1e-14
 
 
+def test_zero_epsilon_stops_on_the_exact_zero_update(channel_pipeline):
+    """From iterate N on every row is final, so iteration N + 1 updates
+    nothing, and an update of exactly epsilon = 0 ends the run converged."""
+    run, *_ = make_run(channel_pipeline, n=4, substeps=3, epsilon=0.0, k_max=50)
+    assert run.iterations == 5 and run.converged
+    assert run.max_diffs[-1] == 0.0
+
+
 def test_history_and_timing_shapes(channel_pipeline):
     run, _, _, tg = make_run(channel_pipeline, n=4, substeps=3, k_max=4, epsilon=0.0)
     assert len(run.history) == run.iterations + 1

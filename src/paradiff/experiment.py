@@ -184,6 +184,9 @@ class ExperimentConfig:
             raise ConfigError(
                 f"need every N >= 1 and substeps >= 0, got {self.n_values} and {self.substeps}"
             )
+        # zero data and a zero load solve to zero, which every check passes
+        if not self.to_source().cell_values(FineGrid(self.nx)).any():
+            raise ConfigError("the source is zero on every cell: amplitude 0 or a box with no cell center")
         return self
 
     def to_source(self) -> SourceSpec:

@@ -81,8 +81,7 @@ class FineGrid:
     def cell_connectivity(self) -> np.ndarray:
         """(n_cells, 4) node indices per cell in (SW, SE, NE, NW) order, read-only.
 
-        Built once per grid: basis construction indexes it once per
-        continuum constraint.
+        Built once per grid: assembly and continuum detection read it.
         """
         return self._connectivity
 

@@ -101,79 +101,70 @@ def build_coarse_partition(grid: FineGrid, nb: int, layers: int = 3) -> CoarsePa
 
 
 @dataclass
-class BlockContinua:
-    """Continuum decomposition of one block: matrix cells plus channel parts."""
-
-    block: int
-    matrix_cells: np.ndarray
-    channel_parts: list[np.ndarray]
-
-    @property
-    def m(self) -> int:
-        return len(self.channel_parts)
-
-    def constraint_sets(self) -> list[tuple[int, np.ndarray]]:
-        """(component index, cell set) pairs: matrix first, then channel parts."""
-        sets = []
-        if self.matrix_cells.size:
-            sets.append((0, self.matrix_cells))
-        sets.extend((n + 1, cells) for n, cells in enumerate(self.channel_parts))
-        return sets
-
-
-@dataclass
 class ContinuumDecomposition:
+    """Continua as one cell labelling, plus their cell-average operator.
+
+    label[c] is the continuum of cell c. Continua are numbered block by
+    block: matrix cells first (when the block has any), then 4-connected
+    channel parts by smallest cell. Continuum r is component[r] (0 = matrix,
+    n >= 1 = channel part n) of block[r]. averages (continua x interior
+    nodes, csr) maps interior nodal values to each continuum's average.
+    """
+
     partition: CoarsePartition
-    blocks: list[BlockContinua]
+    label: np.ndarray
+    block: np.ndarray
+    component: np.ndarray
+    averages: sp.csr_matrix
 
     def m_counts(self) -> list[int]:
-        return [b.m for b in self.blocks]
+        """Channel continua per block."""
+        return np.bincount(self.block[self.component > 0], minlength=self.partition.n_blocks).tolist()
 
 
 def detect_continua(partition: CoarsePartition, field: PermeabilityField) -> ContinuumDecomposition:
-    """Classify each block's cells into matrix and 4-connected channel parts.
+    """Label each block's cells by continuum and build the average operator.
 
-    Channel parts are ordered by their smallest cell index, so the
-    decomposition is independent of labeling internals. A block whose matrix
-    region is empty contributes no matrix continuum (logged).
+    Parts are ranked by their first raster position, which is their
+    smallest cell. A block without matrix cells has no matrix continuum
+    (logged). A bilinear function averages to its corner mean on a cell, so
+    row r sums h^2/4 per cell corner of continuum r and divides by its area.
     """
     grid = partition.grid
     mask = field.channel_mask.reshape(grid.nx, grid.nx)
-    blocks = []
+    label = np.empty(grid.n_cells, dtype=np.intp)
+    block, component = [], []
     for b in range(partition.n_blocks):
         x0, x1, y0, y1 = partition.block_rect(b)
-        local = mask[y0:y1, x0:x1]
-        labels, n_comp = nd_label(local, structure=FOUR_CONNECTED)
-        cy, cx = np.nonzero(local)
-        gcells = (cy + y0) * grid.nx + (cx + x0)
-        parts = []
-        for lab in range(1, n_comp + 1):
-            sel = labels[cy, cx] == lab
-            parts.append(np.sort(gcells[sel]))
-        parts.sort(key=lambda cells: int(cells[0]))
-        bcells = partition.block_cells(b)
-        matrix_cells = np.setdiff1d(bcells, gcells, assume_unique=False)
-        if matrix_cells.size == 0:
+        parts = nd_label(mask[y0:y1, x0:x1], structure=FOUR_CONNECTED)[0].ravel()
+        ids, first, local = np.unique(parts, return_index=True, return_inverse=True)
+        rank = np.argsort(np.argsort(np.where(ids == 0, -1, first)))
+        label[partition.block_cells(b)] = len(block) + rank[local]
+        start = int(ids[0] != 0)
+        if start:
             log.info("block %d has no matrix cells; matrix continuum dropped", b)
-        blocks.append(BlockContinua(b, matrix_cells, parts))
-    return ContinuumDecomposition(partition, blocks)
-
-
-def _average_row(grid: FineGrid, cells: np.ndarray) -> np.ndarray:
-    """Full-node weight vector w with w^T psi = cell-set average of psi."""
-    conn = grid.cell_connectivity()[cells]
-    w = np.zeros(grid.n_nodes)
-    np.add.at(w, conn.ravel(), grid.h**2 / 4.0)
-    return w / (cells.size * grid.h**2)
+        block.extend([b] * ids.size)
+        component.extend(range(start, start + ids.size))
+    conn = grid.cell_connectivity()
+    sums = sp.csr_matrix(
+        (np.full(conn.size, grid.h**2 / 4.0), (np.repeat(label, 4), conn.ravel())),
+        shape=(len(block), grid.n_nodes),
+    )
+    sums.data /= np.repeat(np.bincount(label) * grid.h**2, np.diff(sums.indptr))
+    return ContinuumDecomposition(partition, label, np.array(block), np.array(component), sums[:, grid.interior])
 
 
 @dataclass
 class BlockBasis:
-    """Basis columns of one block on the global interior numbering."""
+    """Basis columns of one block on the global interior numbering.
+
+    columns is column-major: split_spaces takes dot products on single
+    columns, and a strided column can round differently in the last bits.
+    """
 
     block: int
     components: list[int]
-    columns: np.ndarray  # (n_interior, n_components)
+    columns: np.ndarray  # (n_interior, n_components), Fortran order
     constraint_residual: float
 
 
@@ -188,8 +179,8 @@ def build_nlmc_basis(
     For every continuum m of the block, solves on the oversampled patch (zero
     Dirichlet rim) the saddle system: minimize the kappa-energy subject to
     the basis having average delta_{ij} delta_{mn} over continuum (j, n) of
-    every block j in the patch. One factorization serves all continua of the
-    block.
+    every block j in the patch. One factorization and one multi-column
+    solve serve all continua of the block.
     """
     grid = partition.grid
     pnodes = partition.patch_interior_nodes(block)
@@ -199,14 +190,8 @@ def build_nlmc_basis(
     inv_interior[grid.interior] = np.arange(grid.n_interior)
     local_to_interior = inv_interior[pnodes]
     a_loc = ops.A[local_to_interior][:, local_to_interior]
-    rows = []
-    targets = {}
-    for j in partition.patch_blocks(block):
-        for comp, cells in decomp.blocks[j].constraint_sets():
-            if j == block:
-                targets[comp] = len(rows)
-            rows.append(_average_row(grid, cells)[pnodes])
-    c_mat = sp.csr_matrix(np.array(rows))
+    rows = np.flatnonzero(np.isin(decomp.block, partition.patch_blocks(block)))
+    c_mat = decomp.averages[rows][:, local_to_interior]
     kkt = sp.bmat([[a_loc, c_mat.T], [c_mat, None]], format="csc")
     try:
         lu = splu(kkt)
@@ -214,21 +199,16 @@ def build_nlmc_basis(
         raise RuntimeError(f"singular saddle system on block {block}: {exc}") from exc
 
     n_loc = pnodes.size
-    comps, cols, worst = [], [], 0.0
-    for comp, row_id in sorted(targets.items()):
-        rhs = np.zeros(n_loc + len(rows))
-        rhs[n_loc + row_id] = 1.0
-        psi_loc = lu.solve(rhs)[:n_loc]
-        res = c_mat @ psi_loc
-        res[row_id] -= 1.0
-        worst = max(worst, float(np.abs(res).max()))
-        col = np.zeros(grid.n_interior)
-        col[local_to_interior] = psi_loc
-        comps.append(comp)
-        cols.append(col)
+    own = np.flatnonzero(decomp.block[rows] == block)
+    rhs = np.zeros((n_loc + rows.size, own.size))
+    rhs[n_loc + own, np.arange(own.size)] = 1.0
+    psi_loc = lu.solve(rhs)[:n_loc]
+    worst = float(np.abs(c_mat @ psi_loc - rhs[n_loc:]).max())
     if worst > 1e-8:
         log.warning("block %d constraint residual %.2e exceeds 1e-8", block, worst)
-    return BlockBasis(block, comps, np.array(cols).T, worst)
+    cols = np.zeros((grid.n_interior, own.size), order="F")
+    cols[local_to_interior] = psi_loc
+    return BlockBasis(block, decomp.component[rows[own]].tolist(), cols, worst)
 
 
 @dataclass(frozen=True)

@@ -187,6 +187,9 @@ def test_malformed_config_file_exits_2(tmp_path, capsys, text, message):
         (["grid.nx=1%0"], "invalid interpolation syntax"),
         (["DEFAULT.nx=3"], "Invalid section name"),
         (["parareal.n_values=3 3"], "repeated"),
+        (["source.amplitude=0"], "zero on every cell"),
+        # the tiny grid's cell centers sit at (i + 0.5) / 8, none inside
+        (["source.region=0.3:0.304, 0.3:0.304"], "zero on every cell"),
     ],
 )
 def test_out_of_range_value_exits_2(tmp_path, capsys, overrides, message):

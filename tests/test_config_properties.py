@@ -26,9 +26,11 @@ def valid_configs(draw):
         channels.append((x0, x1, y0, y1))
     kind = draw(st.sampled_from(["constant", "box", "point"]))
     if kind == "box":
-        unit = st.floats(0.0, 1.0, **finite)
-        pair = st.lists(unit, min_size=2, max_size=2, unique=True).map(sorted)
-        region = tuple(draw(pair) + draw(pair))
+        # x0 <= c < x1 on both axes for the center c of one drawn cell
+        region = ()
+        for _ in range(2):
+            c = (draw(st.integers(0, nx - 1)) + 0.5) * (1.0 / nx)
+            region += (draw(st.floats(0.0, c)), draw(st.floats(c, 1.0, exclude_min=True)))
     elif kind == "point":
         region = (draw(st.integers(0, nx - 1)), draw(st.integers(0, nx - 1)))
     else:
@@ -41,7 +43,7 @@ def valid_configs(draw):
         contrast=draw(st.floats(min_value=1.0, **finite)),
         channels=channels,
         source_kind=kind,
-        source_amplitude=draw(st.floats(**finite)),
+        source_amplitude=draw(st.floats(**finite).filter(bool)),
         source_region=region,
         t_end=draw(st.floats(min_value=0.0, exclude_min=True, **finite)),
         n_values=tuple(draw(st.lists(st.integers(1, 100), min_size=1, max_size=5, unique=True))),
@@ -86,6 +88,14 @@ def _bad_point(cfg, data):
     return replace(cfg, source_kind="point", source_region=cell)
 
 
+def _empty_box(cfg, data):
+    """A box strictly between the centers of two adjacent cell columns."""
+    i = data.draw(st.integers(0, cfg.nx - 2))
+    lo, hi = ((i + k + 0.5) * (1.0 / cfg.nx) for k in (0, 1))
+    x0, x1 = sorted(data.draw(st.lists(st.floats(lo, hi, exclude_min=True), min_size=2, max_size=2, unique=True)))
+    return replace(cfg, source_kind="box", source_region=(x0, x1, 0.0, 1.0))
+
+
 NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
 BAD_VALUES = {
     "nx": st.integers(max_value=1),
@@ -104,9 +114,14 @@ BAD_VALUES = {
 @settings(max_examples=300, deadline=None)
 @given(valid_configs(), st.data())
 def test_out_of_range_value_is_config_error(cfg, data):
-    rule = data.draw(st.sampled_from(sorted(BAD_VALUES) + ["n_values", "repeated_n", "box", "point", "constant"]))
+    rules = ["n_values", "repeated_n", "box", "point", "constant", "zero_amplitude", "empty_box"]
+    rule = data.draw(st.sampled_from(sorted(BAD_VALUES) + rules))
     if rule == "box":
         bad = _bad_box(cfg, data)
+    elif rule == "empty_box":
+        bad = _empty_box(cfg, data)
+    elif rule == "zero_amplitude":
+        bad = replace(cfg, source_amplitude=data.draw(st.sampled_from([0.0, -0.0])))
     elif rule == "point":
         bad = _bad_point(cfg, data)
     elif rule == "constant":

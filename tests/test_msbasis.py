@@ -5,7 +5,6 @@ import scipy.sparse as sp
 
 from paradiff.fem import Channel, assemble_fine, build_fine_grid, generate_field
 from paradiff.msbasis import (
-    _average_row,
     build_coarse_partition,
     build_multiscale_space,
     build_nlmc_basis,
@@ -28,6 +27,21 @@ def cell_average(grid, col_interior, cells):
     full[grid.interior] = col_interior
     corners = full[grid.cell_connectivity()[cells]]
     return corners.mean()
+
+
+def continuum_cells(decomp, block, component):
+    """Cells of one continuum, ascending."""
+    (r,) = np.flatnonzero((decomp.block == block) & (decomp.component == component))
+    return np.flatnonzero(decomp.label == r)
+
+
+def labelled_field():
+    """16x16 grid, 4x4 blocks: blocks 0 and 1 hold two channel strips each,
+    blocks 10, 11, 14 and 15 are all channel, every other block all matrix."""
+    grid = build_fine_grid(16)
+    channels = [Channel(0, 8, 1, 2), Channel(0, 8, 3, 4), Channel(8, 16, 8, 16)]
+    field = generate_field(grid, 1.0, 1e4, channels)
+    return build_coarse_partition(grid, 4, layers=1), field
 
 
 def test_partition_geometry():
@@ -63,14 +77,14 @@ def test_detect_continua_hand_case():
     part = build_coarse_partition(grid, 2, layers=1)
     decomp = detect_continua(part, field)
     assert decomp.m_counts() == [1, 1, 1, 0]
-    strip_left = decomp.blocks[0].channel_parts[0]
+    strip_left = continuum_cells(decomp, 0, 1)
     expect = np.array([8, 9, 10, 11, 16, 17, 18, 19])
     assert np.array_equal(strip_left, expect)
-    spot = decomp.blocks[2].channel_parts[0]
+    spot = continuum_cells(decomp, 2, 1)
     assert np.array_equal(spot, np.array([6 * 8 + 2]))
     # matrix cells complement the channel inside each block
-    assert decomp.blocks[0].matrix_cells.size == 16 - 8
-    assert decomp.blocks[3].matrix_cells.size == 16
+    assert continuum_cells(decomp, 0, 0).size == 16 - 8
+    assert continuum_cells(decomp, 3, 0).size == 16
     assert sum(decomp.m_counts()) == 3
 
 
@@ -81,25 +95,39 @@ def test_detect_continua_splits_disconnected_parts():
     field = generate_field(grid, 1.0, 1e4, [Channel(0, 4, 0, 1), Channel(0, 4, 2, 3)])
     part = build_coarse_partition(grid, 2, layers=0)
     decomp = detect_continua(part, field)
-    parts = decomp.blocks[0].channel_parts
-    assert len(parts) == 2
+    assert decomp.m_counts()[0] == 2
+    parts = [continuum_cells(decomp, 0, n) for n in (1, 2)]
     assert parts[0][0] < parts[1][0]
     assert np.array_equal(parts[0], np.array([0, 1, 2, 3]))
     assert np.array_equal(parts[1], np.array([16, 17, 18, 19]))
 
 
-def test_average_row_exact_for_linear_function():
-    grid = build_fine_grid(6)
-    part = build_coarse_partition(grid, 2, layers=0)
-    cells = part.block_cells(3)
-    row = _average_row(grid, cells)
-    # node (ix, iy) sits at x = ix h, row-major
-    x_nodes = np.tile(np.arange(grid.nx + 1) * grid.h, grid.nx + 1)
-    # the average of the bilinear interpolant of x over a cell set equals
-    # the mean of the cell-center abscissas
-    centers = grid.cell_centers()[cells, 0]
-    assert np.isclose(row @ x_nodes, centers.mean(), rtol=1e-13)
-    assert np.isclose(row @ np.ones(grid.n_nodes), 1.0, rtol=1e-13)
+def test_averages_match_cell_average_oracle(rng):
+    part, field = labelled_field()
+    grid = part.grid
+    decomp = detect_continua(part, field)
+    assert decomp.averages.shape == (decomp.block.size, grid.n_interior)
+    for _ in range(3):
+        v = rng.standard_normal(grid.n_interior)
+        want = [cell_average(grid, v, np.flatnonzero(decomp.label == r)) for r in range(decomp.block.size)]
+        assert np.allclose(decomp.averages @ v, want, rtol=1e-12, atol=1e-14)
+
+
+def test_continuum_labelling_invariants():
+    part, field = labelled_field()
+    decomp = detect_continua(part, field)
+    # every cell's continuum belongs to that cell's block
+    cell_block = np.empty(part.grid.n_cells, dtype=int)
+    for b in range(part.n_blocks):
+        cell_block[part.block_cells(b)] = b
+    assert np.array_equal(decomp.block[decomp.label], cell_block)
+    # per block the components are 0..m, or 1..m without matrix cells
+    m = decomp.m_counts()
+    for b in range(part.n_blocks):
+        has_matrix = not field.channel_mask[part.block_cells(b)].all()
+        assert list(decomp.component[decomp.block == b]) == list(range(1 - has_matrix, m[b] + 1))
+    assert m[0] == m[1] == 2 and m[10] == m[15] == 1 and m[5] == 0
+    assert list(decomp.component[decomp.block == 10]) == [1]
 
 
 def test_nlmc_basis_constraints_delta_structure():
@@ -112,9 +140,9 @@ def test_nlmc_basis_constraints_delta_structure():
     for pos, comp in enumerate(bb.components):
         col = bb.columns[:, pos]
         for j in part.patch_blocks(block):
-            for comp_j, cells in decomp.blocks[j].constraint_sets():
+            for comp_j in decomp.component[decomp.block == j]:
                 want = 1.0 if (j == block and comp_j == comp) else 0.0
-                got = cell_average(ops.grid, col, cells)
+                got = cell_average(ops.grid, col, continuum_cells(decomp, j, comp_j))
                 assert abs(got - want) <= 1e-8, (j, comp_j)
 
 

@@ -267,7 +267,7 @@ class WaveformRelaxation:
         props, m = self.propagators, self.substeps
         u0, z0 = state.u, props.to_modes(state.w)
         # the part of the w-sweep free of the u iterate; z_0 enters as mu z_0 in h_1
-        h = np.tile(self.dt * (props.loads.f2 @ self.modes), (m, 1))
+        h = np.tile(self.dt * props.f2_modes, (m, 1))
         h[0] += self.mu * z0
         start = (np.tile(props.loads.f1, (m, 1)), u0, z0, self._sweep_z(h.T))
         unloaded = tuple(np.zeros_like(a) for a in start)

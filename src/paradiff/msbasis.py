@@ -318,9 +318,9 @@ def split_spaces(bases: list[BlockBasis], ops: FineOperators) -> tuple[sp.csc_ma
 def project_coarse(psi1: sp.csc_matrix, psi2: sp.csc_matrix, ops: FineOperators) -> CoarseSystem:
     """Dense Galerkin blocks Psi_i^T X Psi_j for X in {mass, stiffness}.
 
-    Diagonal blocks are symmetrized; the asymmetry removed this way is logged
-    because anything large would point at a broken assembly. Raises
-    RuntimeError unless the stacked mass Gram is numerically full rank.
+    Diagonal blocks are symmetrized against the round-off of the sparse
+    products; M and A themselves are exactly symmetric. Raises RuntimeError
+    unless the stacked mass Gram is numerically full rank.
     """
 
     def blocks(x):
@@ -329,15 +329,10 @@ def project_coarse(psi1: sp.csc_matrix, psi2: sp.csc_matrix, ops: FineOperators)
         b11 = (psi1.T @ xp1).toarray()
         b22 = (psi2.T @ xp2).toarray()
         b12 = (psi1.T @ xp2).toarray()
-        asym = 0.0
-        for b in (b11, b22):
-            if b.size:
-                asym = max(asym, float(np.abs(b - b.T).max()))
-        return (b11 + b11.T) / 2, b12, (b22 + b22.T) / 2, asym
+        return (b11 + b11.T) / 2, b12, (b22 + b22.T) / 2
 
-    m11, m12, m22, masym = blocks(ops.M)
-    a11, a12, a22, aasym = blocks(ops.A)
-    log.debug("projection asymmetry: mass %.3e stiffness %.3e", masym, aasym)
+    m11, m12, m22 = blocks(ops.M)
+    a11, a12, a22 = blocks(ops.A)
     vals = np.linalg.eigvalsh(np.block([[m11, m12], [m12.T, m22]]))
     if not vals[0] > 1e-12 * vals[-1]:
         raise RuntimeError(

@@ -1,18 +1,20 @@
 """Parareal outer loop over coarse intervals.
 
-Iteration k produces states x_n^k at the interval endpoints via
+Iterate k is the (N+1, d1+d2) array of stacked (u, w) endpoint rows, with
 
     x_{n+1}^{k+1} = G(x_n^{k+1}) + F(x_n^k) - G(x_n^k),
 
-where G is the coupled one-step coarse solve and F propagates one interval
-with the fine substep scheme, either sequentially or through the
-waveform-relaxation all-at-once solver, whose tolerance follows from
-epsilon alone. Row n of the iterates is final from iterate n onward (Gander
-& Vandewalle, SISC 2007), so iteration k solves F and G only on intervals
-k-1..N-1 and copies rows 0..k-1 from the iterate before. The loop stops
-when the largest Euclidean update over the stacked (u, w) endpoint
-coefficients is at most epsilon, or at k_max. With epsilon = 0 it stops at
-iteration N + 1 at the latest, whose update is exactly zero.
+where G is the coupled one-step coarse solve, mapping one row to the next,
+and F propagates one interval with the fine substep scheme, either
+sequentially or through the waveform-relaxation all-at-once solver, whose
+tolerance follows from epsilon alone. Row n of the iterates is final from
+iterate n onward (Gander & Vandewalle, SISC 2007): iteration k copies rows
+0..k-1 from the iterate before, sets row k to the fine value of interval
+k-1 alone, and solves F on intervals k-1..N-1 and G on k..N-1. After N
+iterations every row is the sequential fine composition by construction.
+The loop stops when the largest Euclidean update over the endpoint rows
+is at most epsilon, or at k_max. With epsilon = 0 it stops at iteration
+N + 1 at the latest, whose update is exactly zero.
 
 It also stops, not converged, at the first iteration with a fine solve
 that did not converge, which for waveform relaxation means one that
@@ -125,12 +127,12 @@ def check_stop(prev: np.ndarray, new: np.ndarray, epsilon: float) -> tuple[float
 
 def initial_sweep(
     propagators: SplitPropagators, initial: SplitState, time_grid: TimeGrid
-) -> list[SplitState]:
-    """Sequential coarse pass producing the iteration-0 states."""
-    states = [initial]
+) -> np.ndarray:
+    """Sequential coarse pass: iterate 0, one (d1+d2,) row per interval endpoint."""
+    rows = [initial.stacked()]
     for _ in range(time_grid.n_intervals):
-        states.append(propagators.coarse_step(states[-1], time_grid.dt))
-    return states
+        rows.append(propagators.coarse_step(rows[-1], time_grid.dt))
+    return np.array(rows)
 
 
 def run_parareal(
@@ -143,19 +145,17 @@ def run_parareal(
 ) -> ParerealRun:
     """Full parareal run.
 
-    The correction sweep reuses the coarse values computed while building
-    the previous iterate (for iteration 1, the initial sweep itself), so
-    iteration k costs N-k+1 fine and N-k+1 coarse solves. After N
-    iterations the endpoints coincide with the purely sequential fine
-    solution by construction.
+    The correction reuses the coarse values computed while building the
+    previous iterate (for iteration 1, the initial sweep itself), so
+    iteration k costs N-k+1 fine and N-k coarse solves.
     """
-    n_int = time_grid.n_intervals
+    n_int, dt = time_grid.n_intervals, time_grid.dt
     d1 = propagators.system.d1
     t_start = time.perf_counter()
 
-    states = initial_sweep(propagators, initial, time_grid)
-    coarse_prev = states[1:]
-    history = [np.array([s.stacked() for s in states])]
+    x = initial_sweep(propagators, initial, time_grid)
+    coarse_prev = x[1:].copy()
+    history = [x]
     max_diffs: list[float] = []
     fine_info: list[list[dict]] = []
     fine_seconds: list[float] = []
@@ -164,33 +164,28 @@ def run_parareal(
     failed: list[int] = []
 
     for k in range(1, k_max + 1):
-        # rows 0..k-1 are final; intervals k-1..N-1 are solved again
+        # rows 0..k-1 are final; F runs on intervals k-1..N-1, G on k..N-1
         first = min(k - 1, n_int)
         tic = time.perf_counter()
-        outputs = [fine.propagate(states[n]) for n in range(first, n_int)]
+        outputs = [fine.propagate(SplitState(x[n, :d1], x[n, d1:])) for n in range(first, n_int)]
         fine_seconds.append(time.perf_counter() - tic)
         infos = [info for _, info in outputs]
         warn_fine_sweep(k, infos)
         fine_info.append(infos)
 
         tic = time.perf_counter()
-        new_states = states[: first + 1]
+        x = x.copy()
         for n, (fin, _) in enumerate(outputs, start=first):
-            g_new = propagators.coarse_step(new_states[n], time_grid.dt)
-            # group the coarse difference first: on interval k-1, whose
-            # input has settled, G(x) - G(x) cancels to exact zeros and the
-            # update passes the fine value through bit for bit, which is
-            # what makes the run reproduce the sequential fine solution
-            # after N iterations exactly
-            vec = fin.stacked() + (g_new.stacked() - coarse_prev[n].stacked())
-            coarse_prev[n] = g_new
-            new_states.append(SplitState.fresh(vec[:d1], vec[d1:]))
+            x[n + 1] = fin.stacked()
+            if n > first:
+                g = propagators.coarse_step(x[n], dt)
+                x[n + 1] += g - coarse_prev[n]
+                coarse_prev[n] = g
         coarse_seconds.append(time.perf_counter() - tic)
 
-        history.append(np.array([s.stacked() for s in new_states]))
-        diff, stop = check_stop(history[-2], history[-1], epsilon)
+        history.append(x)
+        diff, stop = check_stop(history[-2], x, epsilon)
         max_diffs.append(diff)
-        states = new_states
         failed = [n for n, info in enumerate(infos, start=first) if not info["converged"]]
         if failed or stop:
             converged = stop and not failed

@@ -11,7 +11,7 @@ each step needs one lagged level; the fine interval propagator starts that
 lag at the interval's initial values, which makes it a pure function of
 (u, w).
 
-A coupled one-step solve over both components serves as the cheap coarse
+A coupled one-step solve on the stacked (u, w) row is the cheap coarse
 propagator for parareal. The explicit treatment of the w-stiffness imposes
 the step bound dt <= 2 / lambda_max(M22^{-1} A22) = 2 / lam[-1]. The modes
 are computed once per `SplitPropagators` and shared by the sequential step,
@@ -96,11 +96,11 @@ class SplitTrajectory:
 class SplitPropagators:
     """Fine (multi-substep) and coarse (one-step) propagators for one system.
 
-    Owns the w-modes (lam, modes) of the system and the couplings of u to
-    them, M12 V and A12 V with their contiguous transposes; the
-    waveform-relaxation solver reads them from here. Factorizations are
-    cached per step size, so repeated parareal sweeps pay only
-    back-substitutions.
+    Owns the w-modes (lam, modes) of the system, the modal load f2 V and
+    the couplings of u to the modes, M12 V and A12 V with their contiguous
+    transposes; the waveform-relaxation solver reads them from here.
+    Factorizations are cached per step size, so repeated parareal sweeps
+    pay only back-substitutions.
     """
 
     def __init__(self, system: CoarseSystem, loads: ConstantLoads):
@@ -111,7 +111,7 @@ class SplitPropagators:
         self.a12_modes = system.A12 @ self.modes
         self.m12_modes_t = np.ascontiguousarray(self.m12_modes.T)
         self.a12_modes_t = np.ascontiguousarray(self.a12_modes.T)
-        self._f2_modes = loads.f2 @ self.modes
+        self.f2_modes = loads.f2 @ self.modes
         self._u_chol: dict[float, tuple] = {}
         self._g_lu: dict[float, tuple] = {}
 
@@ -148,7 +148,7 @@ class SplitPropagators:
             u_new = u
         z_new = (
             (1.0 - dt * self.lam) * z
-            + dt * (self._f2_modes - self.a12_modes_t @ u_new)
+            + dt * (self.f2_modes - self.a12_modes_t @ u_new)
             - self.m12_modes_t @ (u - u_prev)
         )
         return u_new, z_new
@@ -165,24 +165,24 @@ class SplitPropagators:
             self._g_lu[dt] = lu_factor(k)
         return self._g_lu[dt]
 
-    def coarse_step(self, state: SplitState, dt: float) -> SplitState:
-        """Coupled one-step solve: both components implicit in mass and u-stiffness.
+    def coarse_step(self, x: np.ndarray, dt: float) -> np.ndarray:
+        """Parareal coarse propagator G: one coupled step of the stacked (u, w) row x.
 
-        The w-stiffness stays explicit, matching the splitting it
-        approximates. This is the parareal coarse propagator G.
+        Both components are implicit in mass and u-stiffness; the w-stiffness
+        stays explicit, matching the splitting it approximates.
         """
         s = self.system
         f1, f2 = self.loads.f1, self.loads.f2
+        u, w = x[: s.d1], x[s.d1 :]
         rhs = np.concatenate(
             [
-                f1 + s.M11 @ state.u / dt + s.M12 @ state.w / dt - s.A12 @ state.w,
-                f2 + s.M12.T @ state.u / dt + s.M22 @ state.w / dt - s.A22 @ state.w,
+                f1 + s.M11 @ u / dt + s.M12 @ w / dt - s.A12 @ w,
+                f2 + s.M12.T @ u / dt + s.M22 @ w / dt - s.A22 @ w,
             ]
         )
         # LAPACK getrs, which lu_solve wraps in checks that cost more than the solve
         lu, piv = self._g_factor(dt)
-        sol = dgetrs(lu, piv, rhs)[0]
-        return SplitState(sol[: s.d1], sol[s.d1 :])
+        return dgetrs(lu, piv, rhs)[0]
 
     def fine_interval(self, state: SplitState, dt_interval: float, substeps: int) -> SplitTrajectory:
         """Advance one coarse interval with substeps split steps.

@@ -41,12 +41,12 @@ def test_initial_sweep_composes_coarse(channel_pipeline):
     props = SplitPropagators(pipe.space.system, pipe.loads)
     tg = TimeGrid(pipe.config.t_end, 4, 2)
     initial = SplitState.fresh(np.zeros(pipe.space.d1), np.zeros(pipe.space.d2))
-    states = initial_sweep(props, initial, tg)
-    assert len(states) == 5
-    cur = initial
+    rows = initial_sweep(props, initial, tg)
+    assert rows.shape == (5, pipe.space.d1 + pipe.space.d2)
+    cur = initial.stacked()
     for n in range(4):
         cur = props.coarse_step(cur, tg.dt)
-        assert np.array_equal(states[n + 1].stacked(), cur.stacked())
+        assert np.array_equal(rows[n + 1], cur)
 
 
 def test_exactness_after_n_iterations_bitwise(channel_pipeline):
@@ -84,20 +84,19 @@ def test_exactness_holds_for_all_at_once_kind(channel_pipeline):
 def reference_parareal(props, fine, initial, tg, iterations):
     """Textbook parareal: every interval's fine solve recomputed each iteration."""
     d1 = props.system.d1
-    states = [initial]
+    states = [initial.stacked()]
     for _ in range(tg.n_intervals):
         states.append(props.coarse_step(states[-1], tg.dt))
     coarse_prev = [props.coarse_step(s, tg.dt) for s in states[:-1]]
-    history = [np.array([s.stacked() for s in states])]
+    history = [np.array(states)]
     for _ in range(iterations):
-        fines = [fine.propagate(s)[0] for s in states[:-1]]
-        new_states, coarse_new = [initial], []
+        fines = [fine.propagate(SplitState.fresh(s[:d1], s[d1:]))[0] for s in states[:-1]]
+        new_states, coarse_new = [initial.stacked()], []
         for n, fin in enumerate(fines):
             g_new = props.coarse_step(new_states[n], tg.dt)
             coarse_new.append(g_new)
-            vec = fin.stacked() + (g_new.stacked() - coarse_prev[n].stacked())
-            new_states.append(SplitState.fresh(vec[:d1], vec[d1:]))
-        history.append(np.array([s.stacked() for s in new_states]))
+            new_states.append(fin.stacked() + (g_new - coarse_prev[n]))
+        history.append(np.array(new_states))
         states, coarse_prev = new_states, coarse_new
     return history
 
@@ -139,7 +138,8 @@ def test_settled_intervals_reuse_fine_solves(channel_pipeline, fine_kind):
 
 def test_iteration_solves_only_unsettled_intervals(channel_pipeline):
     """After the initial coarse sweep, iteration i makes n-i+1 fine solves,
-    then n-i+1 coarse solves, and none once i exceeds n."""
+    then n-i coarse solves on rows i..n-1 of the new iterate, and none once
+    i exceeds n."""
     pipe = channel_pipeline
     n, k = 5, 6
     tg = TimeGrid(pipe.config.t_end, n, 2)
@@ -152,9 +152,12 @@ def test_iteration_solves_only_unsettled_intervals(channel_pipeline):
         calls.append("F")
         return propagate(state)
 
-    def counted_coarse(state, dt):
+    g_inputs = []
+
+    def counted_coarse(x, dt):
         calls.append("G")
-        return coarse_step(state, dt)
+        g_inputs.append(x.copy())
+        return coarse_step(x, dt)
 
     fine.propagate, props.coarse_step = counted_fine, counted_coarse
     initial = SplitState.fresh(np.zeros(pipe.space.d1), np.zeros(pipe.space.d2))
@@ -162,8 +165,11 @@ def test_iteration_solves_only_unsettled_intervals(channel_pipeline):
     assert run.iterations == k
     expected = ["G"] * n
     for i in range(1, k + 1):
-        expected += ["F"] * max(n - i + 1, 0) + ["G"] * max(n - i + 1, 0)
+        expected += ["F"] * max(n - i + 1, 0) + ["G"] * max(n - i, 0)
     assert calls == expected
+    rows = [run.history[i][m] for i in range(1, k + 1) for m in range(i, n)]
+    assert len(g_inputs) == n + len(rows)
+    assert all(np.array_equal(a, b) for a, b in zip(g_inputs[n:], rows))
     assert np.array_equal(run.history[-1], run.history[-2])
 
 

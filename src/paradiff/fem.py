@@ -277,7 +277,7 @@ def reference_solve(
     n = ops.M.shape[0]
     dt = t_end / n_steps
     u = np.zeros(n) if u0 is None else np.asarray(u0, dtype=float).copy()
-    lu = splu((ops.M / dt + ops.A).tocsc())
+    lu = splu((ops.M / dt + ops.A).tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
     b = ops.load(source)
     times = np.linspace(0.0, t_end, n_steps + 1)
     states = [u.copy()]

@@ -180,7 +180,8 @@ def build_nlmc_basis(
     Dirichlet rim) the saddle system: minimize the kappa-energy subject to
     the basis having average delta_{ij} delta_{mn} over continuum (j, n) of
     every block j in the patch. One factorization and one multi-column
-    solve serve all continua of the block.
+    solve serve all continua of the block. The KKT matrix is structurally
+    symmetric with a zero (2,2) block, so it is ordered symmetrically.
     """
     grid = partition.grid
     pnodes = partition.patch_interior_nodes(block)
@@ -194,7 +195,7 @@ def build_nlmc_basis(
     c_mat = decomp.averages[rows][:, local_to_interior]
     kkt = sp.bmat([[a_loc, c_mat.T], [c_mat, None]], format="csc")
     try:
-        lu = splu(kkt)
+        lu = splu(kkt, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
     except RuntimeError as exc:
         raise RuntimeError(f"singular saddle system on block {block}: {exc}") from exc
 
@@ -318,18 +319,18 @@ def split_spaces(bases: list[BlockBasis], ops: FineOperators) -> tuple[sp.csc_ma
 def project_coarse(psi1: sp.csc_matrix, psi2: sp.csc_matrix, ops: FineOperators) -> CoarseSystem:
     """Dense Galerkin blocks Psi_i^T X Psi_j for X in {mass, stiffness}.
 
-    Diagonal blocks are symmetrized against the round-off of the sparse
-    products; M and A themselves are exactly symmetric. Raises RuntimeError
-    unless the stacked mass Gram is numerically full rank.
+    The Gram of Psi = [Psi1, Psi2] is built by 16-column blocks of sparse
+    times dense products, which call no BLAS, so its bits do not depend on
+    the thread count. Diagonal blocks are symmetrized against round-off.
+    Raises RuntimeError unless the stacked mass Gram is numerically full rank.
     """
+    d1 = psi1.shape[1]
+    psi = sp.hstack([psi1, psi2], format="csc")
 
     def blocks(x):
-        xp1 = x @ psi1
-        xp2 = x @ psi2
-        b11 = (psi1.T @ xp1).toarray()
-        b22 = (psi2.T @ xp2).toarray()
-        b12 = (psi1.T @ xp2).toarray()
-        return (b11 + b11.T) / 2, b12, (b22 + b22.T) / 2
+        g = np.hstack([psi.T @ (x @ psi[:, j : j + 16].toarray()) for j in range(0, psi.shape[1], 16)])
+        b11, b12, b22 = g[:d1, :d1], g[:d1, d1:], g[d1:, d1:]
+        return (b11 + b11.T) / 2, b12.copy(), (b22 + b22.T) / 2
 
     m11, m12, m22 = blocks(ops.M)
     a11, a12, a22 = blocks(ops.A)

@@ -275,6 +275,14 @@ def test_projection_matches_dense(channel_pipeline):
     assert np.allclose(space.system.M22, p2.T @ m_f @ p2, atol=1e-13)
     a_f = ops.A.toarray()
     assert np.allclose(space.system.A11, p1.T @ a_f @ p1, rtol=1e-12, atol=1e-10)
+    assert np.allclose(space.system.A12, p1.T @ a_f @ p2, rtol=1e-12, atol=1e-10)
+    assert np.allclose(space.system.A22, p2.T @ a_f @ p2, rtol=1e-12, atol=1e-10)
+
+
+def test_patch_constraints_hold_to_round_off(channel_pipeline):
+    # the symmetric ordering of the saddle systems keeps the averages exact
+    # to round-off; the 1e-8 checks above only catch a broken solve
+    assert channel_pipeline.space.constraint_residual <= 1e-13
 
 
 def test_project_load_is_transpose_product(channel_pipeline, rng):

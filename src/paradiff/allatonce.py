@@ -51,7 +51,7 @@ class TimeMatrixB:
     alpha: float
 
     def __post_init__(self):
-        if self.substeps < 1 or self.dt <= 0:
+        if not (self.substeps >= 1 and self.dt > 0):
             raise ValueError("need substeps >= 1 and dt > 0")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")

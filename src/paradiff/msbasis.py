@@ -1,10 +1,11 @@
 """Coarse multiscale spaces for high-contrast diffusion.
 
-Builds NLMC basis functions on oversampled coarse blocks: per coarse
-block, one basis function per continuum (the background matrix region plus
-each connected channel component inside the block), obtained by minimizing
-energy subject to prescribed cell-set averages on every block of the
-oversampled patch.
+Builds one NLMC basis function per continuum (a coarse block's matrix
+region or one connected channel part in it) by minimizing energy on the
+block's oversampled patch subject to cell-set averages on every continuum
+of the patch. Each patch saddle system is a principal submatrix of one
+global [[A, C^T], [C, 0]], C the cell-average operator, and the solutions
+fill one raw-basis array whose column r is continuum r.
 
 The NLMC set is then split into two subspaces: V_H1 holds the
 mean-subtracted channel bases (the stiff directions integrated implicitly)
@@ -88,12 +89,12 @@ class CoarsePartition:
         ys = np.arange(max(by - self.layers, 0), min(by + self.layers + 1, self.nb))
         return (ys[:, None] * self.nb + xs[None, :]).ravel()
 
-    def patch_interior_nodes(self, b: int) -> np.ndarray:
-        """Nodes strictly inside the patch rectangle (zero-Dirichlet rim)."""
+    def patch_interior(self, b: int) -> np.ndarray:
+        """Interior numbers of the nodes strictly inside the patch rectangle."""
         x0, x1, y0, y1 = self.patch_rect(b)
-        ix = np.arange(x0 + 1, x1)
-        iy = np.arange(y0 + 1, y1)
-        return (iy[:, None] * (self.grid.nx + 1) + ix[None, :]).ravel()
+        ix = np.arange(x0, x1 - 1)
+        iy = np.arange(y0, y1 - 1)
+        return (iy[:, None] * (self.grid.nx - 1) + ix[None, :]).ravel()
 
 
 def build_coarse_partition(grid: FineGrid, nb: int, layers: int = 3) -> CoarsePartition:
@@ -154,62 +155,65 @@ def detect_continua(partition: CoarsePartition, field: PermeabilityField) -> Con
     return ContinuumDecomposition(partition, label, np.array(block), np.array(component), sums[:, grid.interior])
 
 
-@dataclass
-class BlockBasis:
-    """Basis columns of one block on the global interior numbering.
-
-    columns is column-major: split_spaces takes dot products on single
-    columns, and a strided column can round differently in the last bits.
-    """
-
-    block: int
-    components: list[int]
-    columns: np.ndarray  # (n_interior, n_components), Fortran order
-    constraint_residual: float
+def saddle_matrix(ops: FineOperators, decomp: ContinuumDecomposition) -> sp.csc_matrix:
+    """[[A, C^T], [C, 0]] on the interior nodes, then the continua."""
+    return sp.bmat([[ops.A, decomp.averages.T], [decomp.averages, None]], format="csc")
 
 
 def build_nlmc_basis(
     partition: CoarsePartition,
     decomp: ContinuumDecomposition,
-    ops: FineOperators,
+    kkt: sp.csc_matrix,
     block: int,
-) -> BlockBasis:
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Energy-minimizing bases of one block under cell-average constraints.
 
     For every continuum m of the block, solves on the oversampled patch (zero
     Dirichlet rim) the saddle system: minimize the kappa-energy subject to
     the basis having average delta_{ij} delta_{mn} over continuum (j, n) of
-    every block j in the patch. One factorization and one multi-column
-    solve serve all continua of the block. The KKT matrix is structurally
-    symmetric with a zero (2,2) block, so it is ordered symmetrically.
+    every block j in the patch: the principal submatrix of kkt (see
+    saddle_matrix) on the patch's nodes and continua. One factorization and
+    one multi-column solve serve all continua of the block. The KKT matrix
+    is structurally symmetric with a zero (2,2) block, so it is ordered
+    symmetrically. Returns the patch nodes, their solution rows and the
+    largest constraint residual.
     """
-    grid = partition.grid
-    pnodes = partition.patch_interior_nodes(block)
-    # patch-interior nodes are interior nodes of the grid, so the patch
-    # stiffness is a principal submatrix of the interior operator
-    inv_interior = np.full(grid.n_nodes, -1)
-    inv_interior[grid.interior] = np.arange(grid.n_interior)
-    local_to_interior = inv_interior[pnodes]
-    a_loc = ops.A[local_to_interior][:, local_to_interior]
+    nodes = partition.patch_interior(block)
     rows = np.flatnonzero(np.isin(decomp.block, partition.patch_blocks(block)))
-    c_mat = decomp.averages[rows][:, local_to_interior]
-    kkt = sp.bmat([[a_loc, c_mat.T], [c_mat, None]], format="csc")
+    idx = np.concatenate([nodes, partition.grid.n_interior + rows])
+    sub = kkt[:, idx][idx]
     try:
-        lu = splu(kkt, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
+        lu = splu(sub, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
     except RuntimeError as exc:
         raise RuntimeError(f"singular saddle system on block {block}: {exc}") from exc
 
-    n_loc = pnodes.size
     own = np.flatnonzero(decomp.block[rows] == block)
-    rhs = np.zeros((n_loc + rows.size, own.size))
-    rhs[n_loc + own, np.arange(own.size)] = 1.0
-    psi_loc = lu.solve(rhs)[:n_loc]
-    worst = float(np.abs(c_mat @ psi_loc - rhs[n_loc:]).max())
+    rhs = np.zeros((idx.size, own.size))
+    rhs[nodes.size + own, np.arange(own.size)] = 1.0
+    sol = lu.solve(rhs)
+    worst = float(np.abs(sub[nodes.size :] @ sol - rhs[nodes.size :]).max())
     if worst > 1e-8:
         log.warning("block %d constraint residual %.2e exceeds 1e-8", block, worst)
-    cols = np.zeros((grid.n_interior, own.size), order="F")
-    cols[local_to_interior] = psi_loc
-    return BlockBasis(block, decomp.component[rows[own]].tolist(), cols, worst)
+    return nodes, sol[: nodes.size], worst
+
+
+def raw_bases(
+    partition: CoarsePartition, decomp: ContinuumDecomposition, ops: FineOperators
+) -> tuple[np.ndarray, float]:
+    """Every block's bases in one (n_interior, n_continua) array, column r
+    for continuum r, and the largest patch constraint residual.
+
+    The array is column-major: split_spaces takes dot products on single
+    columns, and a strided column can round differently in the last bits.
+    """
+    kkt = saddle_matrix(ops, decomp)
+    raw = np.zeros((ops.grid.n_interior, decomp.block.size), order="F")
+    worst = 0.0
+    for b in range(partition.n_blocks):
+        nodes, psi, res = build_nlmc_basis(partition, decomp, kkt, b)
+        raw[nodes[:, None], np.flatnonzero(decomp.block == b)] = psi
+        worst = max(worst, res)
+    return raw, worst
 
 
 @dataclass(frozen=True)
@@ -236,7 +240,7 @@ class CoarseSystem:
 class MultiscaleSpace:
     """Split coarse space: Psi1 spans V_H1, Psi2 spans V_H2.
 
-    Column 0 of Psi2 is the global mean of all block bases; the rest are the
+    Column 0 of Psi2 is the global mean of all raw bases; the rest are the
     matrix-continuum bases but the last (see split_spaces). Psi1 holds the
     channel bases with their s-projection onto the mean removed. labels
     record (block, component) per column, component 0 meaning matrix and -1
@@ -265,10 +269,12 @@ class MultiscaleSpace:
         return self.Psi1 @ u + self.Psi2 @ w
 
 
-def split_spaces(bases: list[BlockBasis], ops: FineOperators) -> tuple[sp.csc_matrix, sp.csc_matrix, list, list]:
-    """Split the block bases into (Psi1, Psi2, labels1, labels2).
+def split_spaces(
+    raw: np.ndarray, decomp: ContinuumDecomposition, ops: FineOperators
+) -> tuple[sp.csc_matrix, sp.csc_matrix, list, list]:
+    """Split the raw bases into (Psi1, Psi2, labels1, labels2).
 
-    The mean field psi_bar is the plain average of every basis column. Each
+    The mean field psi_bar is the plain average of every raw column. Each
     channel column is replaced by psi - (m(psi, psi_bar)/m(psi_bar,
     psi_bar)) psi_bar with m the fine mass form, which makes every V_H1
     column mass-orthogonal to psi_bar. The subspace angle gamma is measured
@@ -290,30 +296,19 @@ def split_spaces(bases: list[BlockBasis], ops: FineOperators) -> tuple[sp.csc_ma
     block count. Without any matrix column the dependency lies inside V_H1,
     and project_coarse, which checks the stacked set for full rank, raises.
     """
-    all_cols, chan, mat = [], [], []
-    for bb in bases:
-        for pos, comp in enumerate(bb.components):
-            col = bb.columns[:, pos]
-            all_cols.append(col)
-            (mat if comp == 0 else chan).append((bb.block, comp, col))
-    psi_bar = np.mean(all_cols, axis=0)
+    chan = np.flatnonzero(decomp.component > 0)
+    mat = np.flatnonzero(decomp.component == 0)[:-1]
+    psi_bar = raw.mean(axis=1)
     s_bar = ops.M @ psi_bar
     denom = float(psi_bar @ s_bar)
-    mat = mat[:-1]
-
-    cols1, labels1 = [], []
-    for block, comp, col in chan:
-        coeff = float(col @ s_bar) / denom
-        cols1.append(col - coeff * psi_bar)
-        labels1.append((block, comp))
-    cols2 = [psi_bar] + [col for _, _, col in mat]
-    labels2 = [(-1, -1)] + [(block, comp) for block, comp, _ in mat]
-
-    if not cols1:
+    # one dot per column: a batched product can round differently
+    coeff = np.array([raw[:, r] @ s_bar for r in chan]) / denom
+    if not chan.size:
         log.info("no channel continua found: V_H1 is empty (d1 = 0)")
-    psi1 = sp.csc_matrix(np.array(cols1).T if cols1 else np.zeros((ops.grid.n_interior, 0)))
-    psi2 = sp.csc_matrix(np.array(cols2).T)
-    return psi1, psi2, labels1, labels2
+    psi1 = sp.csc_matrix(raw[:, chan] - psi_bar[:, None] * coeff)
+    psi2 = sp.csc_matrix(np.column_stack([psi_bar, raw[:, mat]]))
+    labels = list(zip(decomp.block.tolist(), decomp.component.tolist()))
+    return psi1, psi2, [labels[r] for r in chan], [(-1, -1)] + [labels[r] for r in mat]
 
 
 def project_coarse(psi1: sp.csc_matrix, psi2: sp.csc_matrix, ops: FineOperators) -> CoarseSystem:
@@ -367,11 +362,11 @@ def subspace_angle(system: CoarseSystem | MultiscaleSpace) -> float:
 
 
 def build_multiscale_space(ops: FineOperators, nb: int, layers: int = 3) -> MultiscaleSpace:
-    """Full NLMC pipeline: partition, continua, block bases, split, projection."""
+    """Full NLMC pipeline: partition, continua, raw bases, split, projection."""
     partition = build_coarse_partition(ops.grid, nb, layers)
     decomp = detect_continua(partition, ops.field)
-    bases = [build_nlmc_basis(partition, decomp, ops, b) for b in range(partition.n_blocks)]
-    psi1, psi2, labels1, labels2 = split_spaces(bases, ops)
+    raw, residual = raw_bases(partition, decomp, ops)
+    psi1, psi2, labels1, labels2 = split_spaces(raw, decomp, ops)
     system = project_coarse(psi1, psi2, ops)
     return MultiscaleSpace(
         partition=partition,
@@ -381,5 +376,5 @@ def build_multiscale_space(ops: FineOperators, nb: int, layers: int = 3) -> Mult
         system=system,
         labels1=labels1,
         labels2=labels2,
-        constraint_residual=max(bb.constraint_residual for bb in bases),
+        constraint_residual=residual,
     )

@@ -55,7 +55,7 @@ class TimeGrid:
     substeps: int
 
     def __post_init__(self):
-        if self.t_end <= 0 or self.n_intervals < 1 or self.substeps < 1:
+        if not (self.t_end > 0 and self.n_intervals >= 1 and self.substeps >= 1):
             raise ValueError("need t_end > 0, n_intervals >= 1, substeps >= 1")
 
     @property

@@ -40,6 +40,11 @@ def test_time_matrix_validation():
             TimeMatrixB(4, 0.1, alpha)
 
 
+def test_time_matrix_rejects_nan():
+    with pytest.raises(ValueError):
+        TimeMatrixB(4, float("nan"), 0.5)
+
+
 def test_eigenvalues_match_numpy():
     for m in (1, 2, 3, 8, 17):
         tm = TimeMatrixB(m, 0.05, 0.4)

@@ -11,6 +11,8 @@ from paradiff.msbasis import (
     detect_continua,
     project_coarse,
     project_load,
+    raw_bases,
+    saddle_matrix,
     subspace_angle,
 )
 
@@ -134,29 +136,52 @@ def test_nlmc_basis_constraints_delta_structure():
     ops = small_ops()
     part = build_coarse_partition(ops.grid, 4, layers=2)
     decomp = detect_continua(part, ops.field)
-    block = 5
-    bb = build_nlmc_basis(part, decomp, ops, block)
-    assert bb.constraint_residual <= 1e-8
-    for pos, comp in enumerate(bb.components):
-        col = bb.columns[:, pos]
-        for j in part.patch_blocks(block):
-            for comp_j in decomp.component[decomp.block == j]:
-                want = 1.0 if (j == block and comp_j == comp) else 0.0
-                got = cell_average(ops.grid, col, continuum_cells(decomp, j, comp_j))
-                assert abs(got - want) <= 1e-8, (j, comp_j)
+    kkt = saddle_matrix(ops, decomp)
+    for block in range(part.n_blocks):
+        nodes, psi, residual = build_nlmc_basis(part, decomp, kkt, block)
+        assert residual <= 1e-8
+        for pos, comp in enumerate(decomp.component[decomp.block == block]):
+            col = np.zeros(ops.grid.n_interior)
+            col[nodes] = psi[:, pos]
+            for j in part.patch_blocks(block):
+                for comp_j in decomp.component[decomp.block == j]:
+                    want = 1.0 if (j == block and comp_j == comp) else 0.0
+                    got = cell_average(ops.grid, col, continuum_cells(decomp, j, comp_j))
+                    assert abs(got - want) <= 1e-8, (block, j, comp_j)
 
 
 def test_nlmc_basis_supported_on_patch():
     ops = small_ops()
     part = build_coarse_partition(ops.grid, 4, layers=1)
     decomp = detect_continua(part, ops.field)
-    bb = build_nlmc_basis(part, decomp, ops, 0)
+    raw, _ = raw_bases(part, decomp, ops)
     inside = np.zeros(ops.grid.n_interior, dtype=bool)
-    pn = part.patch_interior_nodes(0)
-    inv = np.full(ops.grid.n_nodes, -1)
-    inv[ops.grid.interior] = np.arange(ops.grid.n_interior)
-    inside[inv[pn]] = True
-    assert np.abs(bb.columns[~inside]).max() == 0.0
+    inside[part.patch_interior(0)] = True
+    assert np.abs(raw[~inside][:, decomp.block == 0]).max() == 0.0
+
+
+def test_patch_systems_are_principal_submatrices(channel_pipeline):
+    # reference: the patch saddle system assembled from its blocks, over an
+    # inverse map of the patch's global node numbers
+    part, field = labelled_field()
+    setups = [
+        (channel_pipeline.space.decomposition, channel_pipeline.ops),
+        (detect_continua(part, field), assemble_fine(part.grid, field)),
+    ]
+    for decomp, ops in setups:
+        part, grid, c = decomp.partition, ops.grid, decomp.averages
+        kkt = saddle_matrix(ops, decomp)
+        inv = np.full(grid.n_nodes, -1)
+        inv[grid.interior] = np.arange(grid.n_interior)
+        for b in range(part.n_blocks):
+            x0, x1, y0, y1 = part.patch_rect(b)
+            local = inv[(np.arange(y0 + 1, y1)[:, None] * (grid.nx + 1) + np.arange(x0 + 1, x1)).ravel()]
+            rows = np.flatnonzero(np.isin(decomp.block, part.patch_blocks(b)))
+            oracle = sp.bmat([[ops.A[local][:, local], c[rows][:, local].T], [c[rows][:, local], None]])
+            assert np.array_equal(part.patch_interior(b), local)
+            idx = np.concatenate([local, grid.n_interior + rows])
+            sub = kkt[:, idx][idx]
+            assert sub.shape == oracle.shape and (sub != oracle).nnz == 0, b
 
 
 def test_split_mass_orthogonality_and_labels():
@@ -188,13 +213,14 @@ def test_stacked_basis_full_rank_and_span():
     gram = (stacked.T @ (ops.M @ stacked)).toarray()
     vals = np.linalg.eigvalsh(gram)
     assert vals[0] > 1e-10 * vals[-1]
-    # the split keeps the span of the raw block bases: reproduce one raw
-    # basis column per kind through the stacked set
-    part = space.partition
-    bb = build_nlmc_basis(part, space.decomposition, ops, 5)
-    coef, *_ = np.linalg.lstsq(stacked.toarray(), bb.columns, rcond=None)
+    # the split keeps the span of the raw bases: reproduce block 5's raw
+    # columns, one per kind, through the stacked set
+    decomp = space.decomposition
+    raw, _ = raw_bases(space.partition, decomp, ops)
+    cols = raw[:, decomp.block == 5]
+    coef, *_ = np.linalg.lstsq(stacked.toarray(), cols, rcond=None)
     recon = stacked @ coef
-    assert np.abs(recon - bb.columns).max() < 1e-8 * max(1.0, np.abs(bb.columns).max())
+    assert np.abs(recon - cols).max() < 1e-8 * max(1.0, np.abs(cols).max())
 
 
 def test_gamma_matches_scipy_subspace_angles(channel_pipeline):

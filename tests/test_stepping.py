@@ -59,6 +59,11 @@ def test_time_grid_arithmetic():
             TimeGrid(*bad)
 
 
+def test_time_grid_rejects_nan():
+    with pytest.raises(ValueError):
+        TimeGrid(float("nan"), 2, 2)
+
+
 def test_split_state_fresh_copies():
     u = np.array([1.0])
     w = np.array([2.0])

@@ -241,10 +241,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except ExperimentError as exc:
-        print(f"experiment failed: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ExperimentError, OSError) as exc:
         print(f"experiment failed: {exc}", file=sys.stderr)
         return 1
 

@@ -322,7 +322,7 @@ def build_pipeline(cfg: ExperimentConfig) -> Pipeline:
         raise ExperimentError("basis", str(exc)) from exc
     b = ops.load(cfg.to_source())
     f1, f2 = project_load(space, b)
-    return Pipeline(cfg, grid, fld, ops, space, ConstantLoads(f1, f2), subspace_angle(space))
+    return Pipeline(cfg, grid, fld, ops, space, ConstantLoads(f1, f2), subspace_angle(space.system))
 
 
 @dataclass

@@ -16,6 +16,10 @@ propagator for parareal. The explicit treatment of the w-stiffness imposes
 the step bound dt <= 2 / lambda_max(M22^{-1} A22) = 2 / lam[-1]. The modes
 are computed once per `SplitPropagators` and shared by the sequential step,
 the stability bound and the waveform-relaxation w-sweep.
+
+Both implicit solves are affine in the state, so each is built once per
+step size as matrices and a step is matrix-vector products: the substep's
+u_new = P u - Q (z - z_prev) - R z + p and the coarse step's G x + g.
 """
 
 from __future__ import annotations
@@ -23,8 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, eigh, lu_factor
-from scipy.linalg.lapack import dgetrs, dpotrs
+from scipy.linalg import cho_factor, cho_solve, eigh, lu_factor, lu_solve
 
 from .fem import FineOperators
 from .msbasis import CoarseSystem, MultiscaleSpace
@@ -99,8 +102,9 @@ class SplitPropagators:
     Owns the w-modes (lam, modes) of the system, the modal load f2 V and
     the couplings of u to the modes, M12 V and A12 V with their contiguous
     transposes; the waveform-relaxation solver reads them from here.
-    Factorizations are cached per step size, so repeated parareal sweeps
-    pay only back-substitutions.
+    The one-step maps of the substep's u-update and of the coarse step are
+    built once per step size, so repeated parareal sweeps pay only
+    matrix-vector products.
     """
 
     def __init__(self, system: CoarseSystem, loads: ConstantLoads):
@@ -112,19 +116,22 @@ class SplitPropagators:
         self.m12_modes_t = np.ascontiguousarray(self.m12_modes.T)
         self.a12_modes_t = np.ascontiguousarray(self.a12_modes.T)
         self.f2_modes = loads.f2 @ self.modes
-        self._u_chol: dict[float, tuple] = {}
-        self._g_lu: dict[float, tuple] = {}
+        self._u_maps: dict[float, tuple] = {}
+        self._g_maps: dict[float, tuple] = {}
 
     def to_modes(self, w: np.ndarray) -> np.ndarray:
         """z = V^T M22 w, as two products: the square product M22 V gives
         different bits at different BLAS thread counts."""
         return (w @ self.system.M22) @ self.modes
 
-    def _u_factor(self, dt: float):
-        if dt not in self._u_chol:
+    def _u_map(self, dt: float) -> tuple:
+        """(P, Q, R, p) = K^{-1} (M11/dt, M12 V/dt, A12 V, f1) with K = M11/dt + A11."""
+        if dt not in self._u_maps:
             s = self.system
-            self._u_chol[dt] = cho_factor(s.M11 / dt + s.A11)
-        return self._u_chol[dt]
+            k = cho_factor(s.M11 / dt + s.A11)
+            blocks = (s.M11 / dt, self.m12_modes / dt, self.a12_modes, self.loads.f1)
+            self._u_maps[dt] = tuple(cho_solve(k, b) for b in blocks)
+        return self._u_maps[dt]
 
     def split_step(
         self, u: np.ndarray, z: np.ndarray, u_prev: np.ndarray, z_prev: np.ndarray, dt: float
@@ -132,18 +139,13 @@ class SplitPropagators:
         """(u_new, z_new) after one substep, w in modes z = V^T M22 w.
 
         (M11/dt + A11) u_new = M11 u/dt - M12 V (z - z_prev)/dt - A12 V z + f1,
-        then z_new = (1 - dt lam) z + dt V^T (f2 - A21 u_new) - V^T M21 (u - u_prev).
+        applied as u_new = P u - Q (z - z_prev) - R z + p (`_u_map`), then
+        z_new = (1 - dt lam) z + dt V^T (f2 - A21 u_new) - V^T M21 (u - u_prev).
         """
+        # without channels there is no u, and K would be 0 x 0
         if self.system.d1:
-            rhs_u = (
-                self.system.M11 @ u / dt
-                - self.m12_modes @ (z - z_prev) / dt
-                - self.a12_modes @ z
-                + self.loads.f1
-            )
-            # LAPACK potrs, which cho_solve wraps in checks that cost more than the solve
-            c, lower = self._u_factor(dt)
-            u_new = dpotrs(c, rhs_u, lower=lower)[0]
+            P, Q, R, p = self._u_map(dt)
+            u_new = P @ u - Q @ (z - z_prev) - R @ z + p
         else:
             u_new = u
         z_new = (
@@ -153,17 +155,19 @@ class SplitPropagators:
         )
         return u_new, z_new
 
-    def _g_factor(self, dt: float):
-        if dt not in self._g_lu:
+    def _g_map(self, dt: float) -> tuple:
+        """(G, g) = K_G^{-1} (M/dt - A_w, f), K_G = M/dt + A_u, with M and A the
+        coupled (d, d) mass and stiffness, A_u and A_w A's u- and w-columns."""
+        if dt not in self._g_maps:
             s = self.system
-            n = s.d1 + s.d2
-            k = np.zeros((n, n))
-            k[: s.d1, : s.d1] = s.M11 / dt + s.A11
-            k[: s.d1, s.d1 :] = s.M12 / dt
-            k[s.d1 :, : s.d1] = s.M12.T / dt + s.A12.T
-            k[s.d1 :, s.d1 :] = s.M22 / dt
-            self._g_lu[dt] = lu_factor(k)
-        return self._g_lu[dt]
+            mass = np.block([[s.M11, s.M12], [s.M12.T, s.M22]])
+            stiff = np.block([[s.A11, s.A12], [s.A12.T, s.A22]])
+            a_w = np.zeros_like(stiff)
+            a_w[:, s.d1 :] = stiff[:, s.d1 :]
+            k = lu_factor(mass / dt + (stiff - a_w))
+            f = np.concatenate([self.loads.f1, self.loads.f2])
+            self._g_maps[dt] = (lu_solve(k, mass / dt - a_w), lu_solve(k, f))
+        return self._g_maps[dt]
 
     def coarse_step(self, x: np.ndarray, dt: float) -> np.ndarray:
         """Parareal coarse propagator G: one coupled step of the stacked (u, w) row x.
@@ -171,18 +175,8 @@ class SplitPropagators:
         Both components are implicit in mass and u-stiffness; the w-stiffness
         stays explicit, matching the splitting it approximates.
         """
-        s = self.system
-        f1, f2 = self.loads.f1, self.loads.f2
-        u, w = x[: s.d1], x[s.d1 :]
-        rhs = np.concatenate(
-            [
-                f1 + s.M11 @ u / dt + s.M12 @ w / dt - s.A12 @ w,
-                f2 + s.M12.T @ u / dt + s.M22 @ w / dt - s.A22 @ w,
-            ]
-        )
-        # LAPACK getrs, which lu_solve wraps in checks that cost more than the solve
-        lu, piv = self._g_factor(dt)
-        return dgetrs(lu, piv, rhs)[0]
+        G, g = self._g_map(dt)
+        return G @ x + g
 
     def fine_interval(self, state: SplitState, dt_interval: float, substeps: int) -> SplitTrajectory:
         """Advance one coarse interval with substeps split steps.

@@ -231,7 +231,7 @@ def test_gamma_matches_scipy_subspace_angles(channel_pipeline):
     q2 = lmass.T @ space.Psi2.toarray()
     angles = sla.subspace_angles(q1, q2)
     gamma_ref = float(np.cos(angles.min()))
-    gamma = subspace_angle(space)
+    gamma = subspace_angle(space.system)
     assert np.isclose(gamma, gamma_ref, atol=1e-10)
     assert 0.0 <= gamma < 1.0
 
@@ -252,7 +252,7 @@ def test_gamma_bounds_random_pairs(channel_pipeline, rng):
 
 def test_gamma_zero_without_channels(homogeneous_pipeline):
     assert homogeneous_pipeline.space.d1 == 0
-    assert subspace_angle(homogeneous_pipeline.space) == 0.0
+    assert subspace_angle(homogeneous_pipeline.space.system) == 0.0
 
 
 def test_homogeneous_space_counts(homogeneous_pipeline):

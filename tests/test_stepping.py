@@ -73,13 +73,17 @@ def test_split_state_fresh_copies():
     assert np.array_equal(st.stacked(), [1.0, 2.0])
 
 
-def test_split_step_matches_written_formulas():
-    sysb = tiny_system()
-    loads = ConstantLoads(np.array([0.3]), np.array([-0.2]))
+SYSTEMS = pytest.mark.parametrize("make_system", [tiny_system, u_only_system, w_only_system])
+
+
+@SYSTEMS
+def test_split_step_matches_written_formulas(make_system):
+    sysb = make_system()
+    loads = ConstantLoads(np.full(sysb.d1, 0.3), np.full(sysb.d2, -0.2))
     props = SplitPropagators(sysb, loads)
     dt = 0.01
-    u, w = np.array([1.0]), np.array([2.0])
-    u_prev, w_prev = np.array([0.8]), np.array([1.5])
+    u, w = np.full(sysb.d1, 1.0), np.full(sysb.d2, 2.0)
+    u_prev, w_prev = np.full(sysb.d1, 0.8), np.full(sysb.d2, 1.5)
     # w = V z with V^T M22 V = I, so z = V^T M22 w
     to_modes = lambda x: props.modes.T @ sysb.M22 @ x
     u_out, z_out = props.split_step(u, to_modes(w), u_prev, to_modes(w_prev), dt)
@@ -96,16 +100,18 @@ def test_split_step_matches_written_formulas():
         + loads.f2
     )
     w_new = np.linalg.solve(sysb.M22 / dt, rhs_w)
+    assert u_out.shape == u_new.shape and w_out.shape == w_new.shape
     assert np.allclose(u_out, u_new, rtol=1e-14)
     assert np.allclose(w_out, w_new, rtol=1e-14)
 
 
-def test_coarse_step_solves_coupled_system():
-    sysb = tiny_system()
-    loads = ConstantLoads(np.array([0.1]), np.array([0.2]))
+@SYSTEMS
+def test_coarse_step_solves_coupled_system(make_system):
+    sysb = make_system()
+    loads = ConstantLoads(np.full(sysb.d1, 0.1), np.full(sysb.d2, 0.2))
     props = SplitPropagators(sysb, loads)
     dt = 0.02
-    state = SplitState.fresh(np.array([0.7]), np.array([-0.3]))
+    state = SplitState.fresh(np.full(sysb.d1, 0.7), np.full(sysb.d2, -0.3))
     out = props.coarse_step(state.stacked(), dt)
     k = np.block(
         [
@@ -119,6 +125,7 @@ def test_coarse_step_solves_coupled_system():
             loads.f2 + sysb.M12.T @ state.u / dt + sysb.M22 @ state.w / dt - sysb.A22 @ state.w,
         ]
     )
+    assert out.shape == (sysb.d1 + sysb.d2,)
     assert np.allclose(out, np.linalg.solve(k, rhs), rtol=1e-13)
 
 

@@ -51,7 +51,7 @@ def main():
     nb = cfg.blocks
 
     print("coefficient field (# = contrast %.0e):" % cfg.contrast)
-    print(ascii_field(pipe.field.as_matrix()))
+    print(ascii_field(pipe.ops.field.as_matrix()))
     print()
     print("d1 = %d (channel continua), d2 = %d (mean field + matrix continua)"
           % (space.d1, space.d2))

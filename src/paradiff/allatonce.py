@@ -235,15 +235,11 @@ class WaveformRelaxation:
         # (`SplitPropagators.split_step`). Over the window z_s = mu^s z_0 +
         # sum_{j<=s} mu^{s-j} h_j: per mode a lower-triangular Toeplitz matrix
         # of powers of mu, (d2, M, M) in all.
-        self.modes = propagators.modes
         self.mu = 1.0 - self.dt * propagators.lam
         powers = self.mu[:, None] ** np.arange(substeps + 1)
         lag = np.subtract.outer(np.arange(substeps), np.arange(substeps))
         self._unroll = np.ascontiguousarray(np.where(lag >= 0, powers[:, np.maximum(lag, 0)], 0.0))
-        self._m12_t = propagators.m12_modes_t
         self._a12_dt_t = self.dt * propagators.a12_modes_t
-        # the couplings in the w-modes, w = V z, so that build_rhs reads z
-        self._rhs_blocks = (propagators.system.M11, propagators.m12_modes, propagators.a12_modes)
 
     def _sweep_z(self, h_t: np.ndarray) -> np.ndarray:
         """sum_{j<=s} mu^{s-j} h_j for every substep s; h_t and the result are (d2, M)."""
@@ -254,12 +250,15 @@ class WaveformRelaxation:
         # minus the u-driven part of h: V^T (M21 (u_s - u_{s-1}) + dt A21 u_s),
         # with the lag u_{-1} = u_0
         u_hist = np.concatenate((u0[None], u0[None], u_rows[:-1]))
-        g_t = self._m12_t @ (u_hist[1:] - u_hist[:-1]).T + self._a12_dt_t @ u_rows.T
+        g_t = self.propagators.m12_modes_t @ (u_hist[1:] - u_hist[:-1]).T + self._a12_dt_t @ u_rows.T
         return (z_base - self._sweep_z(g_t)).T
 
     def _u_rows(self, u_rows: np.ndarray, z_rows: np.ndarray, start: tuple) -> np.ndarray:
         f1_rows, u0, z0, _ = start
-        rhs = build_rhs(*self._rhs_blocks, f1_rows, u0, z0, z_rows, u_rows[-1], self.dt, self.alpha)
+        p = self.propagators
+        # the couplings in the w-modes, w = V z, so that build_rhs reads z
+        blocks = (p.system.M11, p.m12_modes, p.a12_modes)
+        rhs = build_rhs(*blocks, f1_rows, u0, z0, z_rows, u_rows[-1], self.dt, self.alpha)
         return self.implicit.solve(rhs)
 
     def solve(self, state: SplitState) -> WRResult:
@@ -281,7 +280,7 @@ class WaveformRelaxation:
         while True:
             u_new = self._u_rows(x, z, start)
             z_new = self._z_rows(u_new, start)
-            residuals.append(_max_row_norm(u_new - x) + _max_row_norm((z_new - z) @ self.modes.T))
+            residuals.append(_max_row_norm(u_new - x) + _max_row_norm((z_new - z) @ props.modes.T))
             reason = _stop_reason(residuals[-1], before, self.tol)
             if reason:
                 break
@@ -295,7 +294,7 @@ class WaveformRelaxation:
             z = self._z_rows(x, start)
 
         full_u = np.vstack([u0, u_new])
-        full_w = np.vstack([state.w, z_new @ self.modes.T])
+        full_w = np.vstack([state.w, z_new @ props.modes.T])
         final = SplitState(full_u[-1].copy(), full_w[-1].copy())
         return WRResult(
             trajectory=SplitTrajectory(full_u, full_w, final),

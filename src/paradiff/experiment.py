@@ -29,7 +29,6 @@ from .fem import (
     Channel,
     FineOperators,
     FineGrid,
-    PermeabilityField,
     SourceSpec,
     assemble_fine,
     build_fine_grid,
@@ -125,7 +124,6 @@ class ExperimentConfig:
     alpha: float = _option("parareal", "alpha", _FLOAT, default=0.5)
     epsilon: float = _option("parareal", "epsilon", _FLOAT, default=1e-14)
     fine_kind: str = _option("parareal", "fine_kind", _STR, default="all-at-once")
-    k_max: int = _option("parareal", "k_max", _INT, default=100)
     compute_reference: bool = _option("output", "reference", _BOOL, default=True)
     export_solution: bool = _option("output", "export_solution", _BOOL, default=True)
 
@@ -151,8 +149,6 @@ class ExperimentConfig:
             raise ConfigError(f"alpha must lie in (0,1), got {self.alpha}")
         if not self.epsilon >= 0:
             raise ConfigError(f"epsilon must be >= 0, got {self.epsilon}")
-        if not self.k_max >= 1:
-            raise ConfigError(f"k_max must be >= 1, got {self.k_max}")
         if self.fine_kind not in ("all-at-once", "sequential"):
             raise ConfigError(f"unknown fine_kind {self.fine_kind!r}")
         for c in self.channels:
@@ -298,7 +294,6 @@ class Pipeline:
 
     config: ExperimentConfig
     grid: FineGrid
-    field: PermeabilityField
     ops: FineOperators
     space: MultiscaleSpace
     loads: ConstantLoads
@@ -322,7 +317,7 @@ def build_pipeline(cfg: ExperimentConfig) -> Pipeline:
         raise ExperimentError("basis", str(exc)) from exc
     b = ops.load(cfg.to_source())
     f1, f2 = project_load(space, b)
-    return Pipeline(cfg, grid, fld, ops, space, ConstantLoads(f1, f2), subspace_angle(space.system))
+    return Pipeline(cfg, grid, ops, space, ConstantLoads(f1, f2), subspace_angle(space.system))
 
 
 @dataclass
@@ -356,7 +351,8 @@ def run_single(pipe: Pipeline, n: int) -> RunResult:
         )
     fine = build_fine_propagator(cfg.fine_kind, propagators, tg, cfg.alpha, cfg.epsilon)
     initial = project_initial(np.zeros(pipe.grid.n_interior), pipe.space, pipe.ops)
-    run = run_parareal(propagators, fine, initial, tg, cfg.epsilon, cfg.k_max)
+    # row n is final from iterate n on, so iteration N + 1 updates nothing
+    run = run_parareal(propagators, fine, initial, tg, cfg.epsilon, tg.n_intervals + 1)
     if run.failed:
         raise ExperimentError(
             f"fine N={n}",
@@ -382,7 +378,6 @@ def run_single(pipe: Pipeline, n: int) -> RunResult:
 
 @dataclass
 class ExperimentReport:
-    pipeline: Pipeline
     results: list[RunResult]
     files: list[Path]
 
@@ -411,7 +406,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
             _emit_all(cfg, pipe, results, out, written)
         except OSError as exc:
             raise ExperimentError("emit", str(exc)) from exc
-        return ExperimentReport(pipe, results, written)
+        return ExperimentReport(results, written)
     except ExperimentError:
         for p in written:
             p.unlink(missing_ok=True)
@@ -425,7 +420,7 @@ def _emit_all(cfg, pipe, results, out: Path, written: list[Path]) -> None:
         return p
 
     dump_config(cfg, path("config_echo.ini"))
-    save_matrix_txt(path("kappa.txt"), pipe.field.as_matrix())
+    save_matrix_txt(path("kappa.txt"), pipe.ops.field.as_matrix())
 
     write_csv(
         path("runs.csv"),

@@ -45,7 +45,7 @@ class CoarsePartition:
 
     grid: FineGrid
     nb: int
-    layers: int = 3
+    layers: int
 
     def __post_init__(self):
         if self.grid.nx % self.nb != 0:
@@ -97,7 +97,7 @@ class CoarsePartition:
         return (iy[:, None] * (self.grid.nx - 1) + ix[None, :]).ravel()
 
 
-def build_coarse_partition(grid: FineGrid, nb: int, layers: int = 3) -> CoarsePartition:
+def build_coarse_partition(grid: FineGrid, nb: int, layers: int) -> CoarsePartition:
     return CoarsePartition(grid, nb, layers)
 
 
@@ -247,7 +247,6 @@ class MultiscaleSpace:
     the mean column.
     """
 
-    partition: CoarsePartition
     decomposition: ContinuumDecomposition
     Psi1: sp.csc_matrix
     Psi2: sp.csc_matrix
@@ -360,7 +359,7 @@ def subspace_angle(system: CoarseSystem) -> float:
     return float(sla.svdvals(y)[0])
 
 
-def build_multiscale_space(ops: FineOperators, nb: int, layers: int = 3) -> MultiscaleSpace:
+def build_multiscale_space(ops: FineOperators, nb: int, layers: int) -> MultiscaleSpace:
     """Full NLMC pipeline: partition, continua, raw bases, split, projection."""
     partition = build_coarse_partition(ops.grid, nb, layers)
     decomp = detect_continua(partition, ops.field)
@@ -368,7 +367,6 @@ def build_multiscale_space(ops: FineOperators, nb: int, layers: int = 3) -> Mult
     psi1, psi2, labels1, labels2 = split_spaces(raw, decomp, ops)
     system = project_coarse(psi1, psi2, ops)
     return MultiscaleSpace(
-        partition=partition,
         decomposition=decomp,
         Psi1=psi1,
         Psi2=psi2,

@@ -13,8 +13,10 @@ iterate n onward (Gander & Vandewalle, SISC 2007): iteration k copies rows
 k-1 alone, and solves F on intervals k-1..N-1 and G on k..N-1. After N
 iterations every row is the sequential fine composition by construction.
 The loop stops when the largest Euclidean update over the endpoint rows
-is at most epsilon, or at k_max. With epsilon = 0 it stops at iteration
-N + 1 at the latest, whose update is exactly zero.
+is at most epsilon, or at the caller's bound k_max. With finite iterates
+and any epsilon >= 0 it stops at iteration N + 1 at the latest, whose
+update is exactly zero, so N + 1 is the bound the experiment driver
+passes; a smaller k_max cuts the run short.
 
 It also stops, not converged, at the first iteration with a fine solve
 that did not converge, which for waveform relaxation means one that

@@ -245,6 +245,22 @@ def test_stale_config_option_exits_2(tmp_path, capsys):
     assert "unknown option parareal.workers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["file", "set"])
+def test_k_max_is_an_unknown_option(tmp_path, capsys, where):
+    """The iteration cap follows from N, so a config can no longer set one."""
+    args = ["run", "--config", config_file(tmp_path)]
+    if where == "file":
+        path = tmp_path / "old.ini"
+        path.write_text("[parareal]\nalpha = 0.5\nk_max = 100\n")
+        args = ["run", "--config", str(path)]
+    else:
+        args += ["--set", "parareal.k_max=5"]
+    out = tmp_path / "out"
+    assert cli.main(args + ["--out", str(out)]) == 2
+    assert "unknown option parareal.k_max" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_basis_exports(tmp_path, capsys):
     out = tmp_path / "basis"
     rc = cli.main(["basis", "--config", config_file(tmp_path), "--out", str(out)])

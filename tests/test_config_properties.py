@@ -51,7 +51,6 @@ def valid_configs(draw):
         alpha=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
         epsilon=draw(st.floats(min_value=0.0, **finite)),
         fine_kind=draw(st.sampled_from(["all-at-once", "sequential"])),
-        k_max=draw(st.integers(1, 200)),
         compute_reference=draw(st.booleans()),
         export_solution=draw(st.booleans()),
     )
@@ -102,7 +101,6 @@ BAD_VALUES = {
     "blocks": st.integers(max_value=0),
     "t_end": st.floats(max_value=0.0) | NON_FINITE,
     "epsilon": st.floats(max_value=0.0, exclude_max=True) | NON_FINITE,
-    "k_max": st.integers(max_value=0),
     "layers": st.integers(max_value=-1),
     "substeps": st.integers(max_value=-1),
     "contrast": st.floats(max_value=1.0, exclude_max=True) | NON_FINITE,

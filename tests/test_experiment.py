@@ -268,13 +268,25 @@ def test_wr_residuals_label_each_solve_with_its_interval(tmp_path):
     """Iteration k solves intervals k-1..N-1, and the CSV names them so."""
     n = 3
     cfg = tiny_config(
-        fine_kind="all-at-once", epsilon=0.0, k_max=n,
+        fine_kind="all-at-once", epsilon=0.0,
         compute_reference=False, export_solution=False,
     )
     run_experiment(cfg, tmp_path / "out")
     with (tmp_path / "out" / f"wr_residuals_N{n}.csv").open() as fh:
         pairs = {(int(r["sweep"]), int(r["interval"])) for r in csv.DictReader(fh)}
     assert pairs == {(k, m) for k in range(1, n + 1) for m in range(k - 1, n)}
+
+
+@pytest.mark.parametrize("kind", ["all-at-once", "sequential"])
+def test_run_single_at_zero_epsilon_ends_after_n_plus_one_iterations(kind):
+    """Row n is final from iterate n on, so iteration N + 1 updates nothing
+    and is the run's last, converged at epsilon = 0."""
+    n = 3
+    cfg = tiny_config(fine_kind=kind, epsilon=0.0, compute_reference=False, export_solution=False)
+    run = run_single(build_pipeline(cfg), n).run
+    assert run.iterations == n + 1
+    assert run.converged
+    assert run.max_diffs[-1] == 0.0
 
 
 def test_run_single_error_series_tracks_iterations(tmp_path):

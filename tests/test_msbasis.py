@@ -65,7 +65,7 @@ def test_partition_geometry():
 def test_partition_validation():
     grid = build_fine_grid(10)
     with pytest.raises(ValueError):
-        build_coarse_partition(grid, 3)
+        build_coarse_partition(grid, 3, layers=1)
     with pytest.raises(ValueError):
         build_coarse_partition(grid, 5, layers=-1)
 
@@ -216,7 +216,7 @@ def test_stacked_basis_full_rank_and_span():
     # the split keeps the span of the raw bases: reproduce block 5's raw
     # columns, one per kind, through the stacked set
     decomp = space.decomposition
-    raw, _ = raw_bases(space.partition, decomp, ops)
+    raw, _ = raw_bases(decomp.partition, decomp, ops)
     cols = raw[:, decomp.block == 5]
     coef, *_ = np.linalg.lstsq(stacked.toarray(), cols, rcond=None)
     recon = stacked @ coef
@@ -258,7 +258,7 @@ def test_gamma_zero_without_channels(homogeneous_pipeline):
 def test_homogeneous_space_counts(homogeneous_pipeline):
     space = homogeneous_pipeline.space
     assert space.d1 == 0
-    assert space.d2 == space.partition.n_blocks
+    assert space.d2 == space.decomposition.partition.n_blocks
     assert space.labels2[0] == (-1, -1)
 
 

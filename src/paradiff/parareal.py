@@ -5,13 +5,13 @@ Iterate k is the (N+1, d1+d2) array of stacked (u, w) endpoint rows, with
     x_{n+1}^{k+1} = G(x_n^{k+1}) + F(x_n^k) - G(x_n^k),
 
 where G is the coupled one-step coarse solve, mapping one row to the next,
-and F propagates one interval with the fine substep scheme, either
-sequentially or through the waveform-relaxation all-at-once solver, whose
-tolerance follows from epsilon alone. Row n of the iterates is final from
-iterate n onward (Gander & Vandewalle, SISC 2007): iteration k copies rows
-0..k-1 from the iterate before, sets row k to the fine value of interval
-k-1 alone, and solves F on intervals k-1..N-1 and G on k..N-1. After N
-iterations every row is the sequential fine composition by construction.
+and F advances interval rows with the fine substep scheme, one sweep per
+iteration: one stacked loop for the sequential kind, one waveform-relaxation
+all-at-once solve per row (tolerance from epsilon alone) for the other. Row
+n of the iterates is final from iterate n onward (Gander & Vandewalle, SISC
+2007): iteration k copies rows 0..k-1 and sweeps F over intervals k-1..N-1
+and G over k..N-1. A row's fine value does not depend on the rows swept with
+it, so after N iterations every row is the sequential fine composition.
 The loop stops when the largest Euclidean update over the endpoint rows
 is at most epsilon, or at the caller's bound k_max. With finite iterates
 and any epsilon >= 0 it stops at iteration N + 1 at the latest, whose
@@ -44,11 +44,15 @@ class SequentialFine:
         self.propagators = propagators
         self.time_grid = time_grid
 
+    def sweep(self, rows: np.ndarray) -> tuple[np.ndarray, list[dict]]:
+        """Rows advanced one interval in one loop of (n, 1, d) stacks, each as `fine_interval`."""
+        p, d1, tg = self.propagators, self.propagators.system.d1, self.time_grid
+        u, z = p.substep_levels(rows[:, None, :d1], p.to_modes(rows[:, None, d1:]), tg.dt_sub, tg.substeps)[-1]
+        return np.concatenate([u, z @ p.modes.T], axis=-1)[:, 0], [{"converged": True} for _ in rows]
+
     def propagate(self, state: SplitState) -> tuple[SplitState, dict]:
-        traj = self.propagators.fine_interval(
-            state, self.time_grid.dt, self.time_grid.substeps
-        )
-        return traj.final, {"converged": True}
+        out, infos = self.sweep(state.stacked()[None])
+        return SplitState(*np.split(out[0], [len(state.u)])), infos[0]
 
 
 class AllAtOnceFine:
@@ -56,6 +60,12 @@ class AllAtOnceFine:
 
     def __init__(self, wr: WaveformRelaxation):
         self.wr = wr
+
+    def sweep(self, rows: np.ndarray) -> tuple[np.ndarray, list[dict]]:
+        """Rows advanced one interval, one solve each."""
+        d1 = self.wr.propagators.system.d1
+        outputs = [self.propagate(SplitState(row[:d1], row[d1:])) for row in rows]
+        return np.reshape([fin.stacked() for fin, _ in outputs], rows.shape), [info for _, info in outputs]
 
     def propagate(self, state: SplitState) -> tuple[SplitState, dict]:
         res = self.wr.solve(state)
@@ -169,20 +179,18 @@ def run_parareal(
         # rows 0..k-1 are final; F runs on intervals k-1..N-1, G on k..N-1
         first = min(k - 1, n_int)
         tic = time.perf_counter()
-        outputs = [fine.propagate(SplitState(x[n, :d1], x[n, d1:])) for n in range(first, n_int)]
+        rows, infos = fine.sweep(x[first:n_int])
         fine_seconds.append(time.perf_counter() - tic)
-        infos = [info for _, info in outputs]
         warn_fine_sweep(k, infos)
         fine_info.append(infos)
 
         tic = time.perf_counter()
         x = x.copy()
-        for n, (fin, _) in enumerate(outputs, start=first):
-            x[n + 1] = fin.stacked()
-            if n > first:
-                g = propagators.coarse_step(x[n], dt)
-                x[n + 1] += g - coarse_prev[n]
-                coarse_prev[n] = g
+        x[first + 1 :] = rows
+        for n in range(first + 1, n_int):
+            g = propagators.coarse_step(x[n], dt)
+            x[n + 1] += g - coarse_prev[n]
+            coarse_prev[n] = g
         coarse_seconds.append(time.perf_counter() - tic)
 
         history.append(x)

@@ -19,7 +19,11 @@ the stability bound and the waveform-relaxation w-sweep.
 
 Both implicit solves are affine in the state, so each is built once per
 step size as matrices and a step is matrix-vector products: the substep's
-u_new = P u - Q (z - z_prev) - R z + p and the coarse step's G x + g.
+u_new = P u - Q (z - z_prev) - R z + p and the coarse step's G x + g. A
+substep acts on rows from the right, one 1-D row or an (n, 1, d) stack of
+n. numpy multiplies each (1, d) item of a stack alone, bit for bit as a 1-D
+row, while an (n, d) gemm's row bits change with n; parareal's exactness
+after N iterations needs each fine value independent of its batch.
 """
 
 from __future__ import annotations
@@ -125,35 +129,42 @@ class SplitPropagators:
         return (w @ self.system.M22) @ self.modes
 
     def _u_map(self, dt: float) -> tuple:
-        """(P, Q, R, p) = K^{-1} (M11/dt, M12 V/dt, A12 V, f1) with K = M11/dt + A11."""
+        """Contiguous (P^T, Q^T, R^T, p), (P, Q, R, p) = K^{-1} (M11/dt, M12 V/dt, A12 V, f1), K = M11/dt + A11."""
         if dt not in self._u_maps:
             s = self.system
             k = cho_factor(s.M11 / dt + s.A11)
             blocks = (s.M11 / dt, self.m12_modes / dt, self.a12_modes, self.loads.f1)
-            self._u_maps[dt] = tuple(cho_solve(k, b) for b in blocks)
+            self._u_maps[dt] = tuple(np.ascontiguousarray(cho_solve(k, b).T) for b in blocks)
         return self._u_maps[dt]
 
     def split_step(
         self, u: np.ndarray, z: np.ndarray, u_prev: np.ndarray, z_prev: np.ndarray, dt: float
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(u_new, z_new) after one substep, w in modes z = V^T M22 w.
+        """(u_new, z_new) after one substep of rows, w in modes z = V^T M22 w.
 
         (M11/dt + A11) u_new = M11 u/dt - M12 V (z - z_prev)/dt - A12 V z + f1,
-        applied as u_new = P u - Q (z - z_prev) - R z + p (`_u_map`), then
-        z_new = (1 - dt lam) z + dt V^T (f2 - A21 u_new) - V^T M21 (u - u_prev).
+        applied as u_new = u P^T - (z - z_prev) Q^T - z R^T + p (`_u_map`), then
+        z_new = (1 - dt lam) z + dt (f2 V - u_new A12 V) - (u - u_prev) M12 V.
         """
         # without channels there is no u, and K would be 0 x 0
         if self.system.d1:
-            P, Q, R, p = self._u_map(dt)
-            u_new = P @ u - Q @ (z - z_prev) - R @ z + p
+            Pt, Qt, Rt, p = self._u_map(dt)
+            u_new = u @ Pt - (z - z_prev) @ Qt - z @ Rt + p
         else:
             u_new = u
         z_new = (
             (1.0 - dt * self.lam) * z
-            + dt * (self.f2_modes - self.a12_modes_t @ u_new)
-            - self.m12_modes_t @ (u - u_prev)
+            + dt * (self.f2_modes - u_new @ self.a12_modes)
+            - (u - u_prev) @ self.m12_modes
         )
         return u_new, z_new
+
+    def substep_levels(self, u: np.ndarray, z: np.ndarray, dt: float, substeps: int) -> list[tuple]:
+        """Rows (u, z) at levels 0..substeps from rows (u, z), the lag starting there."""
+        levels = [(u, z)] * 2
+        for _ in range(substeps):
+            levels.append(self.split_step(*levels[-1], *levels[-2], dt))
+        return levels[1:]
 
     def _g_map(self, dt: float) -> tuple:
         """(G, g) = K_G^{-1} (M/dt - A_w, f), K_G = M/dt + A_u, with M and A the
@@ -183,17 +194,13 @@ class SplitPropagators:
 
         The lag level starts at the interval's initial values. w goes into
         modes once before the loop and the substep levels come back in one
-        product after it; W[0] is the initial w itself.
+        product after it; W[0] is the initial w, the final w the row product
+        of a stacked sweep (`SequentialFine`).
         """
-        dt = dt_interval / substeps
-        us, zs = [state.u] * 2, [self.to_modes(state.w)] * 2
-        for _ in range(substeps):
-            u, z = self.split_step(us[-1], zs[-1], us[-2], zs[-2], dt)
-            us.append(u)
-            zs.append(z)
-        U = np.array(us[1:])
-        W = np.array(zs[1:]) @ self.modes.T
-        W[0] = state.w
+        levels = self.substep_levels(state.u, self.to_modes(state.w), dt_interval / substeps, substeps)
+        U = np.array([u for u, _ in levels])
+        W = np.array([z for _, z in levels]) @ self.modes.T
+        W[0], W[-1] = state.w, levels[-1][1] @ self.modes.T
         return SplitTrajectory(U, W, SplitState(U[-1].copy(), W[-1].copy()))
 
     def stability_max_step(self) -> float:

@@ -109,13 +109,13 @@ def test_settled_intervals_reuse_fine_solves(channel_pipeline, fine_kind):
     props = SplitPropagators(pipe.space.system, pipe.loads)
     fine = build_fine_propagator(fine_kind, props, tg, alpha=0.5, epsilon=0.0)
     calls = []
-    propagate = fine.propagate
+    sweep = fine.sweep
 
-    def counted(state):
-        calls.append(state)
-        return propagate(state)
+    def counted(rows):
+        calls.extend(rows)
+        return sweep(rows)
 
-    fine.propagate = counted
+    fine.sweep = counted
     initial = SplitState.fresh(np.zeros(pipe.space.d1), np.zeros(pipe.space.d2))
     run = run_parareal(props, fine, initial, time_grid=tg, epsilon=0.0, k_max=k)
     assert run.iterations == k
@@ -129,7 +129,7 @@ def test_settled_intervals_reuse_fine_solves(channel_pipeline, fine_kind):
     # iteration i records one entry per solve it made, on intervals i-1..n-1
     assert [len(infos) for infos in run.fine_info] == [n - i + 1 for i in range(1, k + 1)]
 
-    fine.propagate = propagate
+    fine.sweep = sweep
     expected = reference_parareal(props, fine, initial, tg, k)
     assert len(expected) == len(h)
     for a, b in zip(h, expected):
@@ -146,11 +146,11 @@ def test_iteration_solves_only_unsettled_intervals(channel_pipeline):
     props = SplitPropagators(pipe.space.system, pipe.loads)
     fine = build_fine_propagator("sequential", props, tg, alpha=0.5, epsilon=0.0)
     calls = []
-    propagate, coarse_step = fine.propagate, props.coarse_step
+    sweep, coarse_step = fine.sweep, props.coarse_step
 
-    def counted_fine(state):
-        calls.append("F")
-        return propagate(state)
+    def counted_fine(rows):
+        calls.extend("F" * len(rows))
+        return sweep(rows)
 
     g_inputs = []
 
@@ -159,7 +159,7 @@ def test_iteration_solves_only_unsettled_intervals(channel_pipeline):
         g_inputs.append(x.copy())
         return coarse_step(x, dt)
 
-    fine.propagate, props.coarse_step = counted_fine, counted_coarse
+    fine.sweep, props.coarse_step = counted_fine, counted_coarse
     initial = SplitState.fresh(np.zeros(pipe.space.d1), np.zeros(pipe.space.d2))
     run = run_parareal(props, fine, initial, time_grid=tg, epsilon=0.0, k_max=k)
     assert run.iterations == k

@@ -4,7 +4,7 @@ import scipy.linalg as sla
 
 from paradiff import stepping
 from paradiff.msbasis import CoarseSystem
-from paradiff.parareal import build_fine_propagator
+from paradiff.parareal import SequentialFine, build_fine_propagator
 from paradiff.stepping import (
     ConstantLoads,
     SplitPropagators,
@@ -103,6 +103,32 @@ def test_split_step_matches_written_formulas(make_system):
     assert u_out.shape == u_new.shape and w_out.shape == w_new.shape
     assert np.allclose(u_out, u_new, rtol=1e-14)
     assert np.allclose(w_out, w_new, rtol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "make_system", [pytest.param(None, id="channel"), tiny_system, u_only_system, w_only_system]
+)
+def test_sweep_rows_match_fine_interval_bitwise(make_system, channel_pipeline, rng):
+    """Each row of a stacked sweep is its width-1 fine interval bit for bit,
+    whichever rows share its stack; a gemm over the stack fails this."""
+    if make_system is None:
+        sysb, loads = channel_pipeline.space.system, channel_pipeline.loads
+    else:
+        sysb = make_system()
+        loads = ConstantLoads(np.full(sysb.d1, 0.3), np.full(sysb.d2, -0.2))
+    props = SplitPropagators(sysb, loads)
+    tg = TimeGrid(0.005, 6, 4)
+    rows = rng.standard_normal((7, sysb.d1 + sysb.d2))
+    finals = [
+        props.fine_interval(SplitState(r[: sysb.d1], r[sysb.d1 :]), tg.dt, tg.substeps).final
+        for r in rows
+    ]
+    expected = np.array([f.stacked() for f in finals])
+    fine = SequentialFine(props, tg)
+    for width in range(1, 8):
+        out, infos = fine.sweep(rows[:width])
+        assert np.array_equal(out, expected[:width])
+        assert [info["converged"] for info in infos] == [True] * width
 
 
 @SYSTEMS

@@ -9,11 +9,15 @@ diagonalizable in closed form: B = S D S^{-1} with
     d_k = (1 - alpha^{1/M} exp(-2 pi i k / M)) / dt.
 
 V and V^{-1} are inverse/forward DFT matrices, so S applies in O(M log M)
-with FFTs. `TimeMatrixB` owns the transform pair the solver runs:
-to_eigenbasis(x) = fft(Lambda^{-1} x) = M S^{-1} x and from_eigenbasis(y) =
-Lambda ifft(y) = S y / M, whose factors M cancel in a round trip. The solve
-is three steps: transform the right-hand side, solve M independent
-complex-shifted systems, transform back.
+with FFTs. B, M11, A11 and every right-hand side are real, so d_{M-k} =
+conj(d_k), the transformed right-hand side is conjugate-symmetric and the
+solves for k = 0..M//2 fix all the others. `TimeMatrixB` owns the transform
+pair the solver runs, on that half spectrum: to_eigenbasis(x) =
+rfft(Lambda^{-1} x), rows 0..M//2 of M S^{-1} x, and from_eigenbasis(y) =
+Lambda irfft(y) = S y_full / M, y_full the conjugate-symmetric completion
+of y; their factors M cancel in a round trip, and the result is real. The
+solve is three steps: transform the right-hand side, solve M//2 + 1
+independent complex-shifted systems, transform back.
 
 The alpha-coupling to the last substep and the lagged w-terms are refreshed
 by waveform relaxation: a sweep is the all-at-once u-solve followed by a
@@ -65,9 +69,10 @@ class TimeMatrixB:
         return b / self.dt
 
     def eigenvalues(self) -> np.ndarray:
-        """d_k = (1 - alpha^{1/M} omega^k)/dt with omega the conjugate root of unity."""
+        """d_k = (1 - alpha^{1/M} omega^k)/dt for k = 0..M//2, omega the
+        conjugate root of unity; the rest are d_{M-k} = conj(d_k)."""
         m = self.substeps
-        omega = np.exp(-2j * np.pi * np.arange(m) / m)
+        omega = np.exp(-2j * np.pi * np.arange(m // 2 + 1) / m)
         return (1.0 - self.alpha ** (1.0 / m) * omega) / self.dt
 
     @cached_property
@@ -77,46 +82,34 @@ class TimeMatrixB:
         return (self.alpha ** (-np.arange(m) / m))[:, None]
 
     def to_eigenbasis(self, x: np.ndarray) -> np.ndarray:
-        """fft(Lambda^{-1} x) = M S^{-1} x, along axis 0 of an (M, k) array."""
-        return fft.fft(x / self._lambda_column, axis=0)
+        """rfft(Lambda^{-1} x), rows 0..M//2 of M S^{-1} x, for a real (M, k) array x."""
+        return fft.rfft(x / self._lambda_column, axis=0)
 
     def from_eigenbasis(self, y: np.ndarray) -> np.ndarray:
-        """Lambda ifft(y) = S y / M, along axis 0 of an (M, k) array."""
-        return self._lambda_column * fft.ifft(y, axis=0)
+        """Lambda irfft(y) = S y_full / M, real, for an (M//2 + 1, k) half y
+        whose conjugate-symmetric completion is y_full."""
+        return self._lambda_column * fft.irfft(y, n=self.substeps, axis=0)
 
 
 class ImplicitAllAtOnce:
     """Solver for (B kron M11 + I kron A11) U = F via the diagonalization.
 
-    The M shifted matrices d_k M11 + A11 are inverted once at construction;
-    every solve is then `TimeMatrixB.to_eigenbasis`, one matrix-vector
-    product per substep and `TimeMatrixB.from_eigenbasis`. The imaginary
-    residue the last solve discarded is a conditioning guard, computed when
-    read.
+    The M//2 + 1 shifted matrices d_k M11 + A11 of the half spectrum are
+    inverted once at construction; every solve is then
+    `TimeMatrixB.to_eigenbasis`, one matrix-vector product per eigenvalue
+    and `TimeMatrixB.from_eigenbasis`, which returns the real rows.
     """
 
     def __init__(self, system: CoarseSystem, substeps: int, dt: float, alpha: float):
         self.time_matrix = TimeMatrixB(substeps, dt, alpha)
         d = self.time_matrix.eigenvalues()
-        shifted = d[:, None, None] * system.M11[None] + system.A11[None].astype(complex)
-        self.inv_shifted = np.linalg.inv(shifted)
-        self._last_complex: np.ndarray | None = None
+        self.inv_shifted = np.linalg.inv(d[:, None, None] * system.M11[None] + system.A11[None])
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """rhs has one row per substep, shape (M, d1)."""
         tm = self.time_matrix
         p = tm.to_eigenbasis(rhs)
-        u_c = tm.from_eigenbasis((self.inv_shifted @ p[:, :, None])[:, :, 0])
-        self._last_complex = u_c
-        return u_c.real.copy()
-
-    @property
-    def last_imag_residue(self) -> float:
-        """Largest imaginary part the last solve discarded, relative to its largest entry."""
-        u_c = self._last_complex
-        if u_c is None or u_c.size == 0:
-            return 0.0
-        return float(np.abs(u_c.imag).max() / max(np.abs(u_c).max(), 1e-300))
+        return tm.from_eigenbasis((self.inv_shifted @ p[:, :, None])[:, :, 0])
 
 
 def build_rhs(
@@ -152,7 +145,6 @@ class WRResult:
     iterations: int
     converged: bool
     stop_reason: str
-    imag_residue: float = 0.0  # guard of the last u-solve
 
 
 def _max_row_norm(x: np.ndarray) -> float:
@@ -302,5 +294,4 @@ class WaveformRelaxation:
             iterations=len(residuals),
             converged=reason in ("tol", "floor"),
             stop_reason=reason,
-            imag_residue=self.implicit.last_imag_residue,
         )

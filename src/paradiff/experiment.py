@@ -259,9 +259,11 @@ def example1_config() -> ExperimentConfig:
     Channels stay clear of the outer boundary: a high-contrast cell set
     touching the Dirichlet edge forces contrast-scale gradients into the
     coarse space and collapses the explicit-coupling step bound by orders
-    of magnitude. Four oversampling layers keep the localized-basis
-    truncation error at the percent level for contrasts up to 1e6; three
-    layers leave tens of percent in the energy-dominated directions.
+    of magnitude. At the shipped contrast 1e4 and four oversampling layers,
+    coarse backward Euler is 1.3% off the fine reference at N = 20. Four
+    layers do not hold that up to contrast 1e6: there the localized bases
+    leave coarse backward Euler 28.5% off with 4 layers, 4.6% with 5 and
+    0.85% with 6.
     """
     return ExperimentConfig(
         layers=4,
@@ -301,16 +303,9 @@ class Pipeline:
 
 
 def build_pipeline(cfg: ExperimentConfig) -> Pipeline:
-    cfg.validate()
-    try:
-        grid = build_fine_grid(cfg.nx)
-        fld = generate_field(grid, cfg.background, cfg.contrast, cfg.to_channels())
-    except ValueError as exc:
-        raise ExperimentError("field", str(exc)) from exc
-    try:
-        ops = assemble_fine(grid, fld)
-    except ValueError as exc:
-        raise ExperimentError("assembly", str(exc)) from exc
+    cfg.validate()  # rules out every ValueError of the grid, field and assembly
+    grid = build_fine_grid(cfg.nx)
+    ops = assemble_fine(grid, generate_field(grid, cfg.background, cfg.contrast, cfg.to_channels()))
     try:
         space = build_multiscale_space(ops, cfg.blocks, cfg.layers)
     except RuntimeError as exc:

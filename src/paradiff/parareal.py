@@ -25,7 +25,6 @@ diverged.
 
 from __future__ import annotations
 
-import logging
 import time
 from dataclasses import dataclass, field
 
@@ -33,8 +32,6 @@ import numpy as np
 
 from .allatonce import WaveformRelaxation
 from .stepping import SplitPropagators, SplitState, TimeGrid
-
-log = logging.getLogger(__name__)
 
 
 class SequentialFine:
@@ -74,7 +71,6 @@ class AllAtOnceFine:
             "iterations": res.iterations,
             "residuals": res.residuals,
             "stop_reason": res.stop_reason,
-            "imag_residue": res.imag_residue,
         }
 
 
@@ -123,13 +119,6 @@ class ParerealRun:
 def max_state_diff(prev: np.ndarray, new: np.ndarray) -> float:
     """Largest Euclidean update over interval endpoints n = 1..N."""
     return float(np.linalg.norm(new[1:] - prev[1:], axis=1).max())
-
-
-def warn_fine_sweep(iteration: int, infos: list[dict]) -> None:
-    """One warning for an all-at-once imaginary residue above 1e-9 in an iteration."""
-    imag = max((info.get("imag_residue", 0.0) for info in infos), default=0.0)
-    if imag > 1e-9:
-        log.warning("iteration %d: all-at-once imaginary residue %.3e above 1e-9", iteration, imag)
 
 
 def check_stop(prev: np.ndarray, new: np.ndarray, epsilon: float) -> tuple[float, bool]:
@@ -181,7 +170,6 @@ def run_parareal(
         tic = time.perf_counter()
         rows, infos = fine.sweep(x[first:n_int])
         fine_seconds.append(time.perf_counter() - tic)
-        warn_fine_sweep(k, infos)
         fine_info.append(infos)
 
         tic = time.perf_counter()

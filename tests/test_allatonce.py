@@ -48,7 +48,10 @@ def test_time_matrix_rejects_nan():
 def test_eigenvalues_match_numpy():
     for m in (1, 2, 3, 8, 17):
         tm = TimeMatrixB(m, 0.05, 0.4)
-        ours = list(tm.eigenvalues())
+        half = tm.eigenvalues()
+        assert len(half) == m // 2 + 1
+        # the half spectrum plus d_{M-k} = conj(d_k) for k = 1..(M-1)//2
+        ours = list(half) + list(np.conj(half[1 : (m - 1) // 2 + 1]))
         ref = list(np.linalg.eigvals(tm.dense()))
         # greedy multiset match; conjugate pairs make a plain sort unstable
         for a in ours:
@@ -56,6 +59,7 @@ def test_eigenvalues_match_numpy():
             j = int(np.argmin(dist))
             assert dist[j] < 1e-9
             ref.pop(j)
+        assert not ref  # every dense eigenvalue is matched
 
 
 def test_eigenbasis_pair_matches_dense_factors(rng):
@@ -66,10 +70,16 @@ def test_eigenbasis_pair_matches_dense_factors(rng):
     v = np.exp(2j * np.pi * jk / m)
     s_dense = lam @ v
     x = rng.standard_normal((m, 3))
-    # to_eigenbasis is M S^-1 and from_eigenbasis is S / M
-    assert np.allclose(tm.from_eigenbasis(x), s_dense @ x / m, atol=1e-12)
-    assert np.allclose(tm.to_eigenbasis(x), m * np.linalg.solve(s_dense, x), atol=1e-12)
-    assert np.allclose(tm.to_eigenbasis(tm.from_eigenbasis(x)), x, atol=1e-12)
+    half = m // 2 + 1
+    # to_eigenbasis is rows 0..M//2 of M S^-1
+    assert np.allclose(tm.to_eigenbasis(x), (m * np.linalg.solve(s_dense, x))[:half], atol=1e-12)
+    # from_eigenbasis is S / M on the conjugate-symmetric completion
+    y = rng.standard_normal((half, 3)) + 1j * rng.standard_normal((half, 3))
+    y[0].imag = y[-1].imag = 0.0  # rows 0 and M/2 of a real signal's spectrum
+    y_full = np.vstack([y, np.conj(y[1 : m - half + 1][::-1])])
+    assert np.allclose(tm.from_eigenbasis(y), s_dense @ y_full / m, atol=1e-12)
+    assert np.allclose(tm.from_eigenbasis(tm.to_eigenbasis(x)), x, atol=1e-12)
+    assert np.allclose(tm.to_eigenbasis(tm.from_eigenbasis(y)), y, atol=1e-12)
 
 
 def test_diagonalization_identity_all_sizes():
@@ -84,8 +94,9 @@ def test_diagonalization_identity_all_sizes():
     assert worst <= 1e-10
 
 
-def test_implicit_allatonce_solves_kron_system(rng):
-    d1, m, dt, alpha = 3, 8, 0.02, 0.6
+@pytest.mark.parametrize("m", [1, 2, 7, 8])  # odd and even irfft lengths
+def test_implicit_allatonce_solves_kron_system(rng, m):
+    d1, dt, alpha = 3, 0.02, 0.6
     q = rng.standard_normal((d1, d1))
     m11 = q @ q.T + d1 * np.eye(d1)
     a11 = np.diag([1.0, 4.0, 9.0])
@@ -97,10 +108,10 @@ def test_implicit_allatonce_solves_kron_system(rng):
     solver = ImplicitAllAtOnce(sysb, m, dt, alpha)
     rhs = rng.standard_normal((m, d1))
     u = solver.solve(rhs)
+    assert isinstance(u, np.ndarray) and u.dtype == np.float64
     big = np.kron(TimeMatrixB(m, dt, alpha).dense(), m11) + np.kron(np.eye(m), a11)
     ref = np.linalg.solve(big, rhs.ravel()).reshape(m, d1)
     assert np.abs(u - ref).max() < 1e-10 * max(1.0, np.abs(ref).max())
-    assert solver.last_imag_residue < 1e-9
 
 
 def test_build_rhs_hand_values():

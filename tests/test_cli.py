@@ -47,6 +47,16 @@ def test_check_passes_on_default_config(capsys):
     assert "[FAIL]" not in out
 
 
+def test_check_rebuilds_b_at_the_configured_alpha(capsys):
+    # at M = 8 the scaling spread alpha^-(M-1)/M is 1e7: the runs still
+    # converge, but the transform pair rebuilds B only to about 4e-10
+    rc = cli.main(["check", "--set", "parareal.alpha=1e-8"])
+    out = capsys.readouterr().out
+    assert rc == 3
+    assert "[FAIL] diagonalization" in out
+    assert out.count("[FAIL]") == 1
+
+
 def test_check_repeated_run_is_the_pipeline_run(monkeypatch):
     """The check's two parareal runs are run_single's run, bit for bit."""
     runs = []

@@ -21,7 +21,7 @@ from scipy.linalg import eigh
 
 from paradiff.allatonce import WaveformRelaxation
 from paradiff.experiment import ExperimentConfig, build_pipeline
-from paradiff.stepping import SplitPropagators, SplitState
+from paradiff.stepping import SplitPropagators
 
 
 def demo_config() -> ExperimentConfig:
@@ -55,7 +55,7 @@ def main():
     print()
 
     m = 10
-    state = SplitState.fresh(np.zeros(pipe.space.d1), np.zeros(pipe.space.d2))
+    row = np.zeros(pipe.space.d1 + pipe.space.d2)
     alphas = (0.1, 0.5, 0.9)
     print("Krylov sweeps to tol = 1e-12, mean tail reduction per sweep in parentheses")
     print("(window = M substeps, M = %d):" % m)
@@ -65,11 +65,11 @@ def main():
         cells = []
         for a in alphas:
             wr = WaveformRelaxation(props, m, dt_int, a, tol=1e-12)
-            res = wr.solve(state)
-            if res.converged:
-                cells.append("%6d  (%6.3f)" % (res.iterations, tail_ratio(res.residuals)))
+            _, info = wr.solve(row)
+            if info["converged"]:
+                cells.append("%6d  (%6.3f)" % (info["iterations"], tail_ratio(info["residuals"])))
             else:
-                cells.append("%8s (%6.3f)" % (res.stop_reason, tail_ratio(res.residuals)))
+                cells.append("%8s (%6.3f)" % (info["stop_reason"], tail_ratio(info["residuals"])))
         print("%10.1e %14.3f" % (dt_int, dt_int / m / bound), *("%18s" % c for c in cells))
     print()
     print("Reading the rows: the plain iteration of the same sweep, which")

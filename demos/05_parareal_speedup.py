@@ -22,7 +22,7 @@ import numpy as np
 
 from paradiff.experiment import ExperimentConfig, build_pipeline, run_single
 from paradiff.parareal import build_fine_propagator, initial_sweep
-from paradiff.stepping import SplitPropagators, SplitState, project_initial
+from paradiff.stepping import SplitPropagators, project_initial
 
 
 def demo_config() -> ExperimentConfig:
@@ -56,9 +56,8 @@ def costs(pipe, n):
 
     seq_s = statistics.median(timed(sequential)[0] for _ in range(3))
     fine = build_fine_propagator(cfg.fine_kind, props, tg, cfg.alpha, cfg.epsilon)
-    d1 = pipe.space.d1
-    starts = [SplitState(x[:d1], x[d1:]) for x in initial_sweep(props, initial, tg)[:-1]]
-    fine_s = max(timed(lambda: fine.propagate(s))[0] for s in starts)
+    starts = initial_sweep(props, initial.stacked(), tg)[:-1]
+    fine_s = max(timed(lambda: fine.propagate(row))[0] for row in starts)
     return seq_s, fine_s
 
 

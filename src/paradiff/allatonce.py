@@ -29,9 +29,11 @@ pencil (A22, M22): there its recurrence z <- (1 - dt lam) z + h decouples
 per mode and unrolls over the window into one product with a
 lower-triangular Toeplitz matrix per mode. The solver reads the modes and
 the modal couplings from the propagators, so the sequential and the
-all-at-once fine propagators step the same modal scheme. Every caller,
-parareal and the check subcommand alike, builds one `WaveformRelaxation`
-from the propagators and calls its `solve`.
+all-at-once fine propagators step the same modal scheme. `solve` maps a
+stacked (u, w) row to the row one interval on, as both fine propagators
+do, and returns the sweeps and stop reason in an info dict;
+`AllAtOnceFine.propagate` is that call, and parareal and the check
+subcommand alike reach the solver through it.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import numpy as np
 from scipy import fft
 
 from .msbasis import CoarseSystem
-from .stepping import SplitPropagators, SplitState, SplitTrajectory
+from .stepping import SplitPropagators
 
 
 @dataclass(frozen=True)
@@ -138,15 +140,6 @@ def build_rhs(
     return rhs
 
 
-@dataclass
-class WRResult:
-    trajectory: SplitTrajectory
-    residuals: list[float]
-    iterations: int
-    converged: bool
-    stop_reason: str
-
-
 def _max_row_norm(x: np.ndarray) -> float:
     """Largest Euclidean norm over the rows of x, 0 for zero columns."""
     return float(np.sqrt((x * x).sum(axis=1).max()))
@@ -201,12 +194,13 @@ class WaveformRelaxation:
     loads and zero start state. After one plain sweep from the interval's
     initial state, restarted GMRES solves (I - K) u = c, one sweep per
     product; a sweep after each cycle gives `_stop_reason` the true residual,
-    the max-over-substeps update of u plus that of w. `residuals` has one
-    entry per sweep, GMRES's estimate inside a cycle. The default tol 1e-14
-    is the pipeline's. No sweep cap is needed: a cycle costs at most
-    min(60, M*d1) + 1 sweeps and must cut the true residual 10-fold, else
-    the solve ends converged ("floor" within 1e3*tol) or "diverged". With
-    d1 = 0 the w-sweep reads no u iterate and the second sweep is exact.
+    the max-over-substeps update of u plus that of w. The info's
+    `residuals` has one entry per sweep, GMRES's estimate inside a cycle.
+    The default tol 1e-14 is the pipeline's. No sweep cap is needed: a
+    cycle costs at most min(60, M*d1) + 1 sweeps and must cut the true
+    residual 10-fold, else the solve ends converged ("floor" within
+    1e3*tol) or "diverged". With d1 = 0 the w-sweep reads no u iterate and
+    the second sweep is exact.
     """
 
     def __init__(
@@ -253,10 +247,12 @@ class WaveformRelaxation:
         rhs = build_rhs(*blocks, f1_rows, u0, z0, z_rows, u_rows[-1], self.dt, self.alpha)
         return self.implicit.solve(rhs)
 
-    def solve(self, state: SplitState) -> WRResult:
-        """Treats state as an interval start: lag values reset to (u, w)."""
+    def solve(self, row: np.ndarray) -> tuple[np.ndarray, dict]:
+        """The stacked (u, w) row one interval on, and the solve's info dict
+        (converged, iterations, residuals, stop_reason). The row is an
+        interval start: the lag values reset to it."""
         props, m = self.propagators, self.substeps
-        u0, z0 = state.u, props.to_modes(state.w)
+        u0, z0 = row[: props.system.d1], props.to_modes(row[props.system.d1 :])
         # the part of the w-sweep free of the u iterate; z_0 enters as mu z_0 in h_1
         h = np.tile(self.dt * props.f2_modes, (m, 1))
         h[0] += self.mu * z0
@@ -285,13 +281,9 @@ class WaveformRelaxation:
             x = _gmres_cycle(apply, x, u_new - x, steps, before, 0.1 * self.tol, residuals)
             z = self._z_rows(x, start)
 
-        full_u = np.vstack([u0, u_new])
-        full_w = np.vstack([state.w, z_new @ props.modes.T])
-        final = SplitState(full_u[-1].copy(), full_w[-1].copy())
-        return WRResult(
-            trajectory=SplitTrajectory(full_u, full_w, final),
-            residuals=residuals,
-            iterations=len(residuals),
-            converged=reason in ("tol", "floor"),
-            stop_reason=reason,
-        )
+        return np.concatenate([u_new[-1], (z_new @ props.modes.T)[-1]]), {
+            "converged": reason in ("tol", "floor"),
+            "iterations": len(residuals),
+            "residuals": residuals,
+            "stop_reason": reason,
+        }

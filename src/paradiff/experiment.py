@@ -345,7 +345,7 @@ def run_single(pipe: Pipeline, n: int) -> RunResult:
             f"substep {tg.dt_sub:.3e} exceeds the explicit stability bound {bound:.3e}",
         )
     fine = build_fine_propagator(cfg.fine_kind, propagators, tg, cfg.alpha, cfg.epsilon)
-    initial = project_initial(np.zeros(pipe.grid.n_interior), pipe.space, pipe.ops)
+    initial = project_initial(np.zeros(pipe.grid.n_interior), pipe.space, pipe.ops).stacked()
     # row n is final from iterate n on, so iteration N + 1 updates nothing
     run = run_parareal(propagators, fine, initial, tg, cfg.epsilon, tg.n_intervals + 1)
     if run.failed:

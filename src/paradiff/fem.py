@@ -10,14 +10,11 @@ nodes in row-major order.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
-
-log = logging.getLogger(__name__)
 
 # Reference element matrices for a bilinear element on a square cell of side
 # h, corner order (SW, SE, NE, NW). The stiffness matrix of the unit-kappa

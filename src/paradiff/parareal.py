@@ -7,10 +7,13 @@ Iterate k is the (N+1, d1+d2) array of stacked (u, w) endpoint rows, with
 where G is the coupled one-step coarse solve, mapping one row to the next,
 and F advances interval rows with the fine substep scheme, one sweep per
 iteration: one stacked loop for the sequential kind, one waveform-relaxation
-all-at-once solve per row (tolerance from epsilon alone) for the other. Row
-n of the iterates is final from iterate n onward (Gander & Vandewalle, SISC
-2007): iteration k copies rows 0..k-1 and sweeps F over intervals k-1..N-1
-and G over k..N-1. A row's fine value does not depend on the rows swept with
+all-at-once solve per row (tolerance from epsilon alone) for the other.
+Rows are the only currency: the run starts from the initial row, and both
+fine propagators map a row (`propagate`) or a stack of rows (`sweep`) to
+rows one interval on, with one info dict per row. Row n of the iterates
+is final from iterate n onward (Gander & Vandewalle, SISC 2007):
+iteration k copies rows 0..k-1 and sweeps F over intervals k-1..N-1 and G
+over k..N-1. A row's fine value does not depend on the rows swept with
 it, so after N iterations every row is the sequential fine composition.
 The loop stops when the largest Euclidean update over the endpoint rows
 is at most epsilon, or at the caller's bound k_max. With finite iterates
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .allatonce import WaveformRelaxation
-from .stepping import SplitPropagators, SplitState, TimeGrid
+from .stepping import SplitPropagators, TimeGrid
 
 
 class SequentialFine:
@@ -47,9 +50,10 @@ class SequentialFine:
         u, z = p.substep_levels(rows[:, None, :d1], p.to_modes(rows[:, None, d1:]), tg.dt_sub, tg.substeps)[-1]
         return np.concatenate([u, z @ p.modes.T], axis=-1)[:, 0], [{"converged": True} for _ in rows]
 
-    def propagate(self, state: SplitState) -> tuple[SplitState, dict]:
-        out, infos = self.sweep(state.stacked()[None])
-        return SplitState(*np.split(out[0], [len(state.u)])), infos[0]
+    def propagate(self, row: np.ndarray) -> tuple[np.ndarray, dict]:
+        """One row advanced one interval: the width-1 sweep."""
+        out, infos = self.sweep(row[None])
+        return out[0], infos[0]
 
 
 class AllAtOnceFine:
@@ -59,19 +63,12 @@ class AllAtOnceFine:
         self.wr = wr
 
     def sweep(self, rows: np.ndarray) -> tuple[np.ndarray, list[dict]]:
-        """Rows advanced one interval, one solve each."""
-        d1 = self.wr.propagators.system.d1
-        outputs = [self.propagate(SplitState(row[:d1], row[d1:])) for row in rows]
-        return np.reshape([fin.stacked() for fin, _ in outputs], rows.shape), [info for _, info in outputs]
+        """Rows advanced one interval, one `propagate` call each, in row order."""
+        outputs = [self.propagate(row) for row in rows]
+        return np.reshape([out for out, _ in outputs], rows.shape), [info for _, info in outputs]
 
-    def propagate(self, state: SplitState) -> tuple[SplitState, dict]:
-        res = self.wr.solve(state)
-        return res.trajectory.final, {
-            "converged": res.converged,
-            "iterations": res.iterations,
-            "residuals": res.residuals,
-            "stop_reason": res.stop_reason,
-        }
+    def propagate(self, row: np.ndarray) -> tuple[np.ndarray, dict]:
+        return self.wr.solve(row)
 
 
 def build_fine_propagator(
@@ -126,11 +123,9 @@ def check_stop(prev: np.ndarray, new: np.ndarray, epsilon: float) -> tuple[float
     return diff, diff <= epsilon
 
 
-def initial_sweep(
-    propagators: SplitPropagators, initial: SplitState, time_grid: TimeGrid
-) -> np.ndarray:
-    """Sequential coarse pass: iterate 0, one (d1+d2,) row per interval endpoint."""
-    rows = [initial.stacked()]
+def initial_sweep(propagators: SplitPropagators, initial: np.ndarray, time_grid: TimeGrid) -> np.ndarray:
+    """Sequential coarse pass from the initial (d1+d2,) row: iterate 0, one row per interval endpoint."""
+    rows = [initial]
     for _ in range(time_grid.n_intervals):
         rows.append(propagators.coarse_step(rows[-1], time_grid.dt))
     return np.array(rows)
@@ -139,7 +134,7 @@ def initial_sweep(
 def run_parareal(
     propagators: SplitPropagators,
     fine,
-    initial: SplitState,
+    initial: np.ndarray,
     time_grid: TimeGrid,
     epsilon: float,
     k_max: int,

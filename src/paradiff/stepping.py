@@ -44,11 +44,6 @@ class SplitState:
     u: np.ndarray
     w: np.ndarray
 
-    @classmethod
-    def fresh(cls, u: np.ndarray, w: np.ndarray) -> "SplitState":
-        """State holding float copies of u and w."""
-        return cls(np.array(u, dtype=float), np.array(w, dtype=float))
-
     def stacked(self) -> np.ndarray:
         return np.concatenate([self.u, self.w])
 
@@ -219,4 +214,4 @@ def project_initial(u0_fine: np.ndarray, space: MultiscaleSpace, ops: FineOperat
     mu0 = ops.M @ np.asarray(u0_fine, dtype=float)
     u = np.linalg.solve(s.M11, space.Psi1.T @ mu0) if s.d1 else np.zeros(0)
     w = np.linalg.solve(s.M22, space.Psi2.T @ mu0) if s.d2 else np.zeros(0)
-    return SplitState.fresh(u, w)
+    return SplitState(u, w)

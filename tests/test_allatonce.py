@@ -143,16 +143,20 @@ def test_build_rhs_hand_values():
 
 
 def test_wr_matches_sequential_trajectory(channel_pipeline):
+    """A window of m' substeps at the sequential substep ends on level m' of
+    the sequential trajectory, for every m' = 1..M."""
     space = channel_pipeline.space
     props = SplitPropagators(space.system, channel_pipeline.loads)
-    state = SplitState.fresh(np.zeros(space.d1), np.zeros(space.d2))
+    state = SplitState(np.zeros(space.d1), np.zeros(space.d2))
     dt_int, m = 5e-4, 10
-    res = WaveformRelaxation(props, m, dt_int, 0.5, tol=1e-13).solve(state)
-    assert res.converged
     seq = props.fine_interval(state, dt_int, m)
     scale = max(np.abs(seq.U).max(), np.abs(seq.W).max())
-    assert np.abs(res.trajectory.U - seq.U).max() < 1e-10 * scale
-    assert np.abs(res.trajectory.W - seq.W).max() < 1e-10 * scale
+    for level in range(1, m + 1):
+        wr = WaveformRelaxation(props, level, level * dt_int / m, 0.5, tol=1e-13)
+        row, info = wr.solve(state.stacked())
+        assert info["converged"]
+        assert np.abs(row[: space.d1] - seq.U[level]).max() < 1e-10 * scale
+        assert np.abs(row[space.d1 :] - seq.W[level]).max() < 1e-10 * scale
 
 
 def test_wr_from_nonzero_state(channel_pipeline, rng):
@@ -160,32 +164,34 @@ def test_wr_from_nonzero_state(channel_pipeline, rng):
     props = SplitPropagators(space.system, channel_pipeline.loads)
     fine0 = channel_pipeline.ops.load(channel_pipeline.config.to_source())
     state = project_initial(fine0 / channel_pipeline.ops.norm(fine0), space, channel_pipeline.ops)
-    res = WaveformRelaxation(props, 8, 5e-4, 0.3, tol=1e-13).solve(state)
-    seq = props.fine_interval(state, 5e-4, 8)
-    gap = np.linalg.norm(res.trajectory.final.stacked() - seq.final.stacked())
-    assert gap < 1e-10 * (1.0 + np.linalg.norm(seq.final.stacked()))
+    row, _ = WaveformRelaxation(props, 8, 5e-4, 0.3, tol=1e-13).solve(state.stacked())
+    seq = props.fine_interval(state, 5e-4, 8).final.stacked()
+    assert np.linalg.norm(row - seq) < 1e-10 * (1.0 + np.linalg.norm(seq))
 
 
 def test_wr_w_only_system_converges_immediately(homogeneous_pipeline):
+    """Every window of m' = 1..M substeps, compared with level m' of the
+    sequential trajectory."""
     space = homogeneous_pipeline.space
     assert space.d1 == 0
     props = SplitPropagators(space.system, homogeneous_pipeline.loads)
-    state = SplitState.fresh(np.zeros(0), np.zeros(space.d2))
-    res = WaveformRelaxation(props, 6, 5e-4, 0.5).solve(state)
-    assert res.converged and res.iterations <= 3
-    seq = props.fine_interval(state, 5e-4, 6)
-    assert np.abs(res.trajectory.W - seq.W).max() < 1e-12 * max(1.0, np.abs(seq.W).max())
+    state = SplitState(np.zeros(0), np.zeros(space.d2))
+    dt_int, m = 5e-4, 6
+    seq = props.fine_interval(state, dt_int, m)
+    for level in range(1, m + 1):
+        row, info = WaveformRelaxation(props, level, level * dt_int / m, 0.5).solve(state.stacked())
+        assert info["converged"] and info["iterations"] <= 3
+        assert np.abs(row - seq.W[level]).max() < 1e-12 * max(1.0, np.abs(seq.W).max())
 
 
 def test_wr_determinism(channel_pipeline):
     space = channel_pipeline.space
     props = SplitPropagators(space.system, channel_pipeline.loads)
-    state = SplitState.fresh(np.zeros(space.d1), np.zeros(space.d2))
-    a = WaveformRelaxation(props, 10, 5e-4, 0.5).solve(state)
-    b = WaveformRelaxation(props, 10, 5e-4, 0.5).solve(state)
-    assert np.array_equal(a.trajectory.U, b.trajectory.U)
-    assert np.array_equal(a.trajectory.W, b.trajectory.W)
-    assert a.residuals == b.residuals
+    row = np.zeros(space.d1 + space.d2)
+    a, a_info = WaveformRelaxation(props, 10, 5e-4, 0.5).solve(row)
+    b, b_info = WaveformRelaxation(props, 10, 5e-4, 0.5).solve(row)
+    assert np.array_equal(a, b)
+    assert a_info == b_info
 
 
 def synthetic_low_gamma_system(g1=0.3, g2=0.1):
@@ -206,11 +212,10 @@ def test_wr_contraction_tracks_gamma_squared():
     gamma = 0.3
     sysb = synthetic_low_gamma_system(gamma, 0.1)
     loads = ConstantLoads(np.array([1.0, 1.0]), np.array([1.0, -1.0]))
-    state = SplitState.fresh(np.zeros(2), np.zeros(2))
     wr = WaveformRelaxation(SplitPropagators(sysb, loads), 8, 0.01, 0.1, tol=1e-13)
-    res = wr.solve(state)
-    assert res.converged
-    r = res.residuals
+    _, info = wr.solve(np.zeros(4))
+    assert info["converged"]
+    r = info["residuals"]
     ratios = [r[i + 1] / r[i] for i in range(2, min(8, len(r) - 1))]
     geo = float(np.exp(np.mean(np.log(ratios))))
     assert geo <= gamma**2 + 0.2
@@ -220,14 +225,13 @@ def test_wr_contraction_tracks_gamma_squared():
 def test_wr_residual_floor_stop():
     sysb = synthetic_low_gamma_system()
     loads = ConstantLoads(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    state = SplitState.fresh(np.zeros(2), np.zeros(2))
     wr = WaveformRelaxation(SplitPropagators(sysb, loads), 8, 0.01, 0.1, tol=1e-18)
-    res = wr.solve(state)
+    _, info = wr.solve(np.zeros(4))
     # a tolerance below round-off still terminates cleanly: either the
     # iterates go bitwise stationary (residual exactly zero) or the floor
     # detection fires, never an exception or a hang
-    assert res.iterations < 500
-    assert res.residuals[-1] <= 1e-12
+    assert info["iterations"] < 500
+    assert info["residuals"][-1] <= 1e-12
 
 
 def test_wr_reports_one_residual_per_allatonce_solve(
@@ -267,14 +271,13 @@ def test_wr_reports_one_residual_per_allatonce_solve(
     monkeypatch.setattr(ImplicitAllAtOnce, "solve", counted)
     for wr, reasons, sweeps in cases:
         system = wr.propagators.system
-        state = SplitState.fresh(np.zeros(system.d1), np.zeros(system.d2))
         calls.clear()
-        res = wr.solve(state)
-        assert res.stop_reason in reasons, (reasons, res.stop_reason)
-        assert res.converged == (res.stop_reason != "diverged")
-        assert res.iterations == len(res.residuals) == len(calls), (reasons, len(calls))
+        _, info = wr.solve(np.zeros(system.d1 + system.d2))
+        assert info["stop_reason"] in reasons, (reasons, info["stop_reason"])
+        assert info["converged"] == (info["stop_reason"] != "diverged")
+        assert info["iterations"] == len(info["residuals"]) == len(calls), (reasons, len(calls))
         if sweeps is not None:
-            assert res.iterations == sweeps, reasons
+            assert info["iterations"] == sweeps, reasons
 
 
 def test_wr_converges_on_example2_window():
@@ -291,9 +294,9 @@ def test_wr_converges_on_example2_window():
     state = project_initial(np.zeros(pipe.grid.n_interior), pipe.space, pipe.ops)
     for _ in range(3):
         state = props.fine_interval(state, tg.dt, tg.substeps).final
-    wr = build_fine_propagator(cfg.fine_kind, props, tg, cfg.alpha, cfg.epsilon).wr
-    res = wr.solve(state)
-    assert res.converged
+    fine = build_fine_propagator(cfg.fine_kind, props, tg, cfg.alpha, cfg.epsilon)
+    row, info = fine.propagate(state.stacked())
+    assert info["converged"]
     seq = props.fine_interval(state, tg.dt, tg.substeps).final.stacked()
-    gap = np.linalg.norm(res.trajectory.final.stacked() - seq)
+    gap = np.linalg.norm(row - seq)
     assert gap <= 1e-10 * np.linalg.norm(seq)

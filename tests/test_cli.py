@@ -6,6 +6,7 @@ import pytest
 import paradiff.cli as cli
 import paradiff.experiment as expmod
 import paradiff.parareal as parareal
+from paradiff.allatonce import WaveformRelaxation
 from paradiff.experiment import (
     ExperimentConfig,
     ExperimentError,
@@ -49,11 +50,35 @@ def test_check_passes_on_default_config(capsys):
 
 def test_check_rebuilds_b_at_the_configured_alpha(capsys):
     # at M = 8 the scaling spread alpha^-(M-1)/M is 1e7: the runs still
-    # converge, but the transform pair rebuilds B only to about 4e-10
+    # converge, but the transform pair rebuilds B only to about 4e-10, and
+    # waveform relaxation ends 1.2e-10 (relative) off the sequential scheme
     rc = cli.main(["check", "--set", "parareal.alpha=1e-8"])
     out = capsys.readouterr().out
     assert rc == 3
     assert "[FAIL] diagonalization" in out
+    assert "[FAIL] waveform relaxation" in out
+    assert out.count("[FAIL]") == 2
+
+
+def test_check_wr_gap_is_relative(monkeypatch, capsys):
+    """A waveform-relaxation row 1e-6 (relative) off fails the check on a
+    small solution, |seq| = 2.3e-6, where 1e-10 * (1 + |seq|) would pass it."""
+    solve = WaveformRelaxation.solve
+
+    def perturbed(self, row):
+        out, info = solve(self, row)
+        out = out.copy()
+        out[0] += 1e-6 * np.linalg.norm(out)
+        return out, info
+
+    rc = cli.main(["check", "--set", "source.amplitude=1e-3"])
+    assert rc == 0
+    capsys.readouterr()
+    monkeypatch.setattr(WaveformRelaxation, "solve", perturbed)
+    rc = cli.main(["check", "--set", "source.amplitude=1e-3"])
+    out = capsys.readouterr().out
+    assert rc == 3
+    assert "[FAIL] waveform relaxation" in out
     assert out.count("[FAIL]") == 1
 
 

@@ -8,7 +8,7 @@ from paradiff.parareal import (
     max_state_diff,
     run_parareal,
 )
-from paradiff.stepping import ConstantLoads, SplitPropagators, SplitState, TimeGrid
+from paradiff.stepping import ConstantLoads, SplitPropagators, TimeGrid
 
 
 def scalar_system(a=6.0):
@@ -25,7 +25,7 @@ def make_run(pipe, *, n=6, substeps=4, fine_kind="sequential",
     tg = TimeGrid(pipe.config.t_end, n, substeps)
     props = SplitPropagators(pipe.space.system, pipe.loads)
     fine = build_fine_propagator(fine_kind, props, tg, alpha=alpha, epsilon=epsilon)
-    initial = SplitState.fresh(np.zeros(pipe.space.d1), np.zeros(pipe.space.d2))
+    initial = np.zeros(pipe.space.d1 + pipe.space.d2)
     run = run_parareal(props, fine, initial, time_grid=tg, epsilon=epsilon, k_max=k_max)
     return run, fine, props, tg
 
@@ -40,10 +40,10 @@ def test_initial_sweep_composes_coarse(channel_pipeline):
     pipe = channel_pipeline
     props = SplitPropagators(pipe.space.system, pipe.loads)
     tg = TimeGrid(pipe.config.t_end, 4, 2)
-    initial = SplitState.fresh(np.zeros(pipe.space.d1), np.zeros(pipe.space.d2))
+    initial = np.zeros(pipe.space.d1 + pipe.space.d2)
     rows = initial_sweep(props, initial, tg)
     assert rows.shape == (5, pipe.space.d1 + pipe.space.d2)
-    cur = initial.stacked()
+    cur = initial
     for n in range(4):
         cur = props.coarse_step(cur, tg.dt)
         assert np.array_equal(rows[n + 1], cur)
@@ -56,13 +56,9 @@ def test_exactness_after_n_iterations_bitwise(channel_pipeline):
         channel_pipeline, n=6, substeps=4, epsilon=0.0, k_max=6
     )
     assert run.iterations == 6 and not run.converged
-    state = SplitState.fresh(
-        np.zeros(channel_pipeline.space.d1), np.zeros(channel_pipeline.space.d2)
-    )
-    expected = [state.stacked()]
+    expected = [np.zeros(channel_pipeline.space.d1 + channel_pipeline.space.d2)]
     for _ in range(tg.n_intervals):
-        state, _ = fine.propagate(state)
-        expected.append(state.stacked())
+        expected.append(fine.propagate(expected[-1])[0])
     assert np.array_equal(run.history[-1], np.array(expected))
 
 
@@ -71,31 +67,26 @@ def test_exactness_holds_for_all_at_once_kind(channel_pipeline):
         channel_pipeline, n=5, substeps=6, fine_kind="all-at-once",
         epsilon=0.0, k_max=5,
     )
-    state = SplitState.fresh(
-        np.zeros(channel_pipeline.space.d1), np.zeros(channel_pipeline.space.d2)
-    )
-    expected = [state.stacked()]
+    expected = [np.zeros(channel_pipeline.space.d1 + channel_pipeline.space.d2)]
     for _ in range(tg.n_intervals):
-        state, _ = fine.propagate(state)
-        expected.append(state.stacked())
+        expected.append(fine.propagate(expected[-1])[0])
     assert np.array_equal(run.history[-1], np.array(expected))
 
 
 def reference_parareal(props, fine, initial, tg, iterations):
     """Textbook parareal: every interval's fine solve recomputed each iteration."""
-    d1 = props.system.d1
-    states = [initial.stacked()]
+    states = [initial]
     for _ in range(tg.n_intervals):
         states.append(props.coarse_step(states[-1], tg.dt))
     coarse_prev = [props.coarse_step(s, tg.dt) for s in states[:-1]]
     history = [np.array(states)]
     for _ in range(iterations):
-        fines = [fine.propagate(SplitState.fresh(s[:d1], s[d1:]))[0] for s in states[:-1]]
-        new_states, coarse_new = [initial.stacked()], []
+        fines = [fine.propagate(s)[0] for s in states[:-1]]
+        new_states, coarse_new = [initial], []
         for n, fin in enumerate(fines):
             g_new = props.coarse_step(new_states[n], tg.dt)
             coarse_new.append(g_new)
-            new_states.append(fin.stacked() + (g_new - coarse_prev[n]))
+            new_states.append(fin + (g_new - coarse_prev[n]))
         history.append(np.array(new_states))
         states, coarse_prev = new_states, coarse_new
     return history
@@ -116,7 +107,7 @@ def test_settled_intervals_reuse_fine_solves(channel_pipeline, fine_kind):
         return sweep(rows)
 
     fine.sweep = counted
-    initial = SplitState.fresh(np.zeros(pipe.space.d1), np.zeros(pipe.space.d2))
+    initial = np.zeros(pipe.space.d1 + pipe.space.d2)
     run = run_parareal(props, fine, initial, time_grid=tg, epsilon=0.0, k_max=k)
     assert run.iterations == k
 
@@ -160,7 +151,7 @@ def test_iteration_solves_only_unsettled_intervals(channel_pipeline):
         return coarse_step(x, dt)
 
     fine.sweep, props.coarse_step = counted_fine, counted_coarse
-    initial = SplitState.fresh(np.zeros(pipe.space.d1), np.zeros(pipe.space.d2))
+    initial = np.zeros(pipe.space.d1 + pipe.space.d2)
     run = run_parareal(props, fine, initial, time_grid=tg, epsilon=0.0, k_max=k)
     assert run.iterations == k
     expected = ["G"] * n
@@ -180,7 +171,7 @@ def test_scalar_closed_form_solution():
     props = SplitPropagators(sysb, loads)
     tg = TimeGrid(t_end, 8, 16)
     fine = build_fine_propagator("all-at-once", props, tg, alpha=0.5, epsilon=1e-15)
-    initial = SplitState.fresh(np.array([1.0]), np.zeros(0))
+    initial = np.array([1.0])
     run = run_parareal(props, fine, initial, time_grid=tg, epsilon=1e-15, k_max=50)
     assert run.converged
     kappa = 1.0 / (1.0 + tg.dt_sub * a)
@@ -232,3 +223,29 @@ def test_wr_tolerance_follows_epsilon(channel_pipeline):
     for epsilon, tol in ((1e-8, 1e-12), (1e-14, 1e-14), (0.0, 1e-14)):
         fine = build_fine_propagator("all-at-once", props, tg, alpha=0.5, epsilon=epsilon)
         assert fine.wr.tol == tol
+
+
+def test_all_at_once_sweep_propagates_each_row_once_in_order(channel_pipeline, rng):
+    """bench/tracer.py times each all-at-once solve by wrapping propagate, so
+    sweep must make exactly one propagate call per row, in row order, and
+    return what those calls returned."""
+    pipe = channel_pipeline
+    tg = TimeGrid(pipe.config.t_end, 4, 3)
+    props = SplitPropagators(pipe.space.system, pipe.loads)
+    fine = build_fine_propagator("all-at-once", props, tg, alpha=0.5, epsilon=1e-14)
+    calls = []
+    propagate = fine.propagate
+
+    def recorded(row):
+        out = propagate(row)
+        calls.append((row.copy(), out))
+        return out
+
+    fine.propagate = recorded
+    rows = rng.standard_normal((3, pipe.space.d1 + pipe.space.d2))
+    out, infos = fine.sweep(rows)
+    assert len(calls) == len(rows)
+    for row, (seen, (fin, info)), got, got_info in zip(rows, calls, out, infos):
+        assert np.array_equal(seen, row)
+        assert np.array_equal(got, fin)
+        assert got_info is info

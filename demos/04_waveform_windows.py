@@ -21,7 +21,6 @@ from scipy.linalg import eigh
 
 from paradiff.allatonce import WaveformRelaxation
 from paradiff.experiment import ExperimentConfig, build_pipeline
-from paradiff.stepping import SplitPropagators
 
 
 def demo_config() -> ExperimentConfig:
@@ -45,7 +44,7 @@ def main():
     logging.basicConfig(level=logging.ERROR)
     pipe = build_pipeline(demo_config())
     system = pipe.space.system
-    props = SplitPropagators(system, pipe.loads)
+    props = pipe.propagators
     bound = props.stability_max_step()
     lam_min = float(eigh(system.A11, system.M11, eigvals_only=True)[0])
     print("d1 = %d, d2 = %d, gamma = %.4f (gamma^2 = %.3f)"

@@ -22,7 +22,7 @@ import numpy as np
 
 from paradiff.experiment import ExperimentConfig, build_pipeline, run_single
 from paradiff.parareal import build_fine_propagator, initial_sweep
-from paradiff.stepping import SplitPropagators, project_initial
+from paradiff.stepping import project_initial
 
 
 def demo_config() -> ExperimentConfig:
@@ -45,14 +45,14 @@ def costs(pipe, n):
     """(sequential scheme s, slowest fine solve of one interval s) at N = n."""
     cfg = pipe.config
     tg = cfg.time_grid(n)
-    props = SplitPropagators(pipe.space.system, pipe.loads)
+    props = pipe.propagators
     initial = project_initial(np.zeros(pipe.grid.n_interior), pipe.space, pipe.ops)
 
     def sequential():
-        state = initial
+        u, w = initial.u, initial.w
         for _ in range(tg.n_intervals):
-            state = props.fine_interval(state, tg.dt, tg.substeps).final
-        return state
+            u, w = props.advance(u, w, tg.dt_sub, tg.substeps)
+        return u, w
 
     seq_s = statistics.median(timed(sequential)[0] for _ in range(3))
     fine = build_fine_propagator(cfg.fine_kind, props, tg, cfg.alpha, cfg.epsilon)

@@ -292,7 +292,7 @@ def check_config() -> ExperimentConfig:
 
 @dataclass
 class Pipeline:
-    """Everything derivable from the config before any time stepping."""
+    """Everything derivable from the config before any time stepping, all runs' propagators among it."""
 
     config: ExperimentConfig
     grid: FineGrid
@@ -300,6 +300,7 @@ class Pipeline:
     space: MultiscaleSpace
     loads: ConstantLoads
     gamma: float
+    propagators: SplitPropagators
 
 
 def build_pipeline(cfg: ExperimentConfig) -> Pipeline:
@@ -310,9 +311,9 @@ def build_pipeline(cfg: ExperimentConfig) -> Pipeline:
         space = build_multiscale_space(ops, cfg.blocks, cfg.layers)
     except RuntimeError as exc:
         raise ExperimentError("basis", str(exc)) from exc
-    b = ops.load(cfg.to_source())
-    f1, f2 = project_load(space, b)
-    return Pipeline(cfg, grid, ops, space, ConstantLoads(f1, f2), subspace_angle(space.system))
+    loads = ConstantLoads(*project_load(space, ops.load(cfg.to_source())))
+    propagators = SplitPropagators(space.system, loads)
+    return Pipeline(cfg, grid, ops, space, loads, subspace_angle(space.system), propagators)
 
 
 @dataclass
@@ -337,17 +338,16 @@ def relative_error(ops: FineOperators, fine_final: np.ndarray, coarse_final: np.
 def run_single(pipe: Pipeline, n: int) -> RunResult:
     cfg = pipe.config
     tg = cfg.time_grid(n)
-    propagators = SplitPropagators(pipe.space.system, pipe.loads)
-    bound = propagators.stability_max_step()
+    bound = pipe.propagators.stability_max_step()
     if tg.dt_sub > bound:
         raise ExperimentError(
             f"stability N={n}",
             f"substep {tg.dt_sub:.3e} exceeds the explicit stability bound {bound:.3e}",
         )
-    fine = build_fine_propagator(cfg.fine_kind, propagators, tg, cfg.alpha, cfg.epsilon)
+    fine = build_fine_propagator(cfg.fine_kind, pipe.propagators, tg, cfg.alpha, cfg.epsilon)
     initial = project_initial(np.zeros(pipe.grid.n_interior), pipe.space, pipe.ops).stacked()
     # row n is final from iterate n on, so iteration N + 1 updates nothing
-    run = run_parareal(propagators, fine, initial, tg, cfg.epsilon, tg.n_intervals + 1)
+    run = run_parareal(pipe.propagators, fine, initial, tg, cfg.epsilon, tg.n_intervals + 1)
     if run.failed:
         raise ExperimentError(
             f"fine N={n}",

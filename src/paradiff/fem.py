@@ -241,8 +241,10 @@ class FineOperators:
         return assemble_load(self.grid, source)[self.grid.interior]
 
     def norm(self, v: np.ndarray) -> float:
-        """Discrete L2 norm sqrt(v^T M v) over interior nodes."""
-        return float(np.sqrt(v @ (self.M @ v)))
+        """Discrete L2 norm sqrt(v^T M v) over interior nodes, v scaled exactly so nothing overflows."""
+        scale = np.ldexp(1.0, np.frexp(np.abs(v).max(initial=0.0))[1])
+        x = v / scale
+        return float(scale * np.sqrt(x @ (self.M @ x)))
 
 
 def assemble_fine(grid: FineGrid, field: PermeabilityField) -> FineOperators:

@@ -6,8 +6,8 @@ Iterate k is the (N+1, d1+d2) array of stacked (u, w) endpoint rows, with
 
 where G is the coupled one-step coarse solve, mapping one row to the next,
 and F advances interval rows with the fine substep scheme, one sweep per
-iteration: one stacked loop for the sequential kind, one waveform-relaxation
-all-at-once solve per row (tolerance from epsilon alone) for the other.
+iteration: one `advance` of the row stack for the sequential kind, one
+waveform-relaxation solve per row (tolerance from epsilon alone) for the other.
 Rows are the only currency: the run starts from the initial row, and both
 fine propagators map a row (`propagate`) or a stack of rows (`sweep`) to
 rows one interval on, with one info dict per row. Row n of the iterates
@@ -45,10 +45,10 @@ class SequentialFine:
         self.time_grid = time_grid
 
     def sweep(self, rows: np.ndarray) -> tuple[np.ndarray, list[dict]]:
-        """Rows advanced one interval in one loop of (n, 1, d) stacks, each as `fine_interval`."""
-        p, d1, tg = self.propagators, self.propagators.system.d1, self.time_grid
-        u, z = p.substep_levels(rows[:, None, :d1], p.to_modes(rows[:, None, d1:]), tg.dt_sub, tg.substeps)[-1]
-        return np.concatenate([u, z @ p.modes.T], axis=-1)[:, 0], [{"converged": True} for _ in rows]
+        """Rows advanced one interval by one `advance` of (n, 1, d) stacks, each row's bits as alone."""
+        d1, tg = self.propagators.system.d1, self.time_grid
+        u, w = self.propagators.advance(rows[:, None, :d1], rows[:, None, d1:], tg.dt_sub, tg.substeps)
+        return np.concatenate([u, w], axis=-1)[:, 0], [{"converged": True} for _ in rows]
 
     def propagate(self, row: np.ndarray) -> tuple[np.ndarray, dict]:
         """One row advanced one interval: the width-1 sweep."""
@@ -114,8 +114,10 @@ class ParerealRun:
 
 
 def max_state_diff(prev: np.ndarray, new: np.ndarray) -> float:
-    """Largest Euclidean update over interval endpoints n = 1..N."""
-    return float(np.linalg.norm(new[1:] - prev[1:], axis=1).max())
+    """Largest Euclidean update over interval endpoints n = 1..N, scaled exactly so nothing overflows."""
+    d = new[1:] - prev[1:]
+    scale = np.ldexp(1.0, np.frexp(np.abs(d).max(initial=0.0))[1])
+    return float(scale * np.linalg.norm(d / scale, axis=1).max())
 
 
 def check_stop(prev: np.ndarray, new: np.ndarray, epsilon: float) -> tuple[float, bool]:

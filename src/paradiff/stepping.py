@@ -7,9 +7,9 @@ explicitly, then w advances explicitly in the eigenbasis of the pencil
 V^T M22 V = I, the w-step needs no solve: z <- (1 - dt lam) z + h, mode by
 mode, with h the modal load and u coupling. The u-equation uses the
 backward difference of w from the two previous levels and vice versa, so
-each step needs one lagged level; the fine interval propagator starts that
-lag at the interval's initial values, which makes it a pure function of
-(u, w).
+each step needs one lagged level; `SplitPropagators.advance`, the one
+driver of an interval, starts that lag at the interval's initial values,
+which makes it a pure function of (u, w).
 
 A coupled one-step solve on the stacked (u, w) row is the cheap coarse
 propagator for parareal. The explicit treatment of the w-stiffness imposes
@@ -90,8 +90,8 @@ def w_modes(system: CoarseSystem) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class SplitTrajectory:
-    U: np.ndarray  # (n_steps + 1, d1)
-    W: np.ndarray  # (n_steps + 1, d2)
+    """The end state of `fine_interval`; `final` is all bench/harness.py reads."""
+
     final: SplitState
 
 
@@ -154,12 +154,13 @@ class SplitPropagators:
         )
         return u_new, z_new
 
-    def substep_levels(self, u: np.ndarray, z: np.ndarray, dt: float, substeps: int) -> list[tuple]:
-        """Rows (u, z) at levels 0..substeps from rows (u, z), the lag starting there."""
-        levels = [(u, z)] * 2
+    def advance(self, u: np.ndarray, w: np.ndarray, dt: float, substeps: int) -> tuple:
+        """Rows (u, w) after substeps split steps of size dt, the lag starting at (u, w)."""
+        z = self.to_modes(w)
+        u_prev, z_prev = u, z
         for _ in range(substeps):
-            levels.append(self.split_step(*levels[-1], *levels[-2], dt))
-        return levels[1:]
+            u_prev, z_prev, (u, z) = u, z, self.split_step(u, z, u_prev, z_prev, dt)
+        return u, z @ self.modes.T
 
     def _g_map(self, dt: float) -> tuple:
         """(G, g) = K_G^{-1} (M/dt - A_w, f), K_G = M/dt + A_u, with M and A the
@@ -185,24 +186,13 @@ class SplitPropagators:
         return G @ x + g
 
     def fine_interval(self, state: SplitState, dt_interval: float, substeps: int) -> SplitTrajectory:
-        """Advance one coarse interval with substeps split steps.
-
-        The lag level starts at the interval's initial values. w goes into
-        modes once before the loop and the substep levels come back in one
-        product after it; W[0] is the initial w, the final w the row product
-        of a stacked sweep (`SequentialFine`).
-        """
-        levels = self.substep_levels(state.u, self.to_modes(state.w), dt_interval / substeps, substeps)
-        U = np.array([u for u, _ in levels])
-        W = np.array([z for _, z in levels]) @ self.modes.T
-        W[0], W[-1] = state.w, levels[-1][1] @ self.modes.T
-        return SplitTrajectory(U, W, SplitState(U[-1].copy(), W[-1].copy()))
+        """One coarse interval of substeps split steps (`advance`) on the split form."""
+        return SplitTrajectory(SplitState(*self.advance(state.u, state.w, dt_interval / substeps, substeps)))
 
     def stability_max_step(self) -> float:
         """Largest stable substep 2 / lambda_max(M22^{-1} A22); inf without a stiff w-part."""
-        if self.lam.size == 0 or self.lam[-1] <= 0.0:
-            return np.inf
-        return 2.0 / float(self.lam[-1])
+        lam_max = float(self.lam.max(initial=0.0))
+        return 2.0 / lam_max if lam_max > 0.0 else np.inf
 
 
 def project_initial(u0_fine: np.ndarray, space: MultiscaleSpace, ops: FineOperators) -> SplitState:

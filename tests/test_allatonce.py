@@ -149,14 +149,15 @@ def test_wr_matches_sequential_trajectory(channel_pipeline):
     props = SplitPropagators(space.system, channel_pipeline.loads)
     state = SplitState(np.zeros(space.d1), np.zeros(space.d2))
     dt_int, m = 5e-4, 10
-    seq = props.fine_interval(state, dt_int, m)
-    scale = max(np.abs(seq.U).max(), np.abs(seq.W).max())
+    # level m' of the sequential trajectory is `advance` over m' substeps
+    seq = [props.advance(state.u, state.w, dt_int / m, level) for level in range(m + 1)]
+    scale = max(max(np.abs(u).max(), np.abs(w).max()) for u, w in seq)
     for level in range(1, m + 1):
         wr = WaveformRelaxation(props, level, level * dt_int / m, 0.5, tol=1e-13)
         row, info = wr.solve(state.stacked())
         assert info["converged"]
-        assert np.abs(row[: space.d1] - seq.U[level]).max() < 1e-10 * scale
-        assert np.abs(row[space.d1 :] - seq.W[level]).max() < 1e-10 * scale
+        assert np.abs(row[: space.d1] - seq[level][0]).max() < 1e-10 * scale
+        assert np.abs(row[space.d1 :] - seq[level][1]).max() < 1e-10 * scale
 
 
 def test_wr_from_nonzero_state(channel_pipeline, rng):
@@ -177,11 +178,12 @@ def test_wr_w_only_system_converges_immediately(homogeneous_pipeline):
     props = SplitPropagators(space.system, homogeneous_pipeline.loads)
     state = SplitState(np.zeros(0), np.zeros(space.d2))
     dt_int, m = 5e-4, 6
-    seq = props.fine_interval(state, dt_int, m)
+    seq_w = [props.advance(state.u, state.w, dt_int / m, level)[1] for level in range(m + 1)]
+    scale = max(1.0, max(np.abs(w).max() for w in seq_w))
     for level in range(1, m + 1):
         row, info = WaveformRelaxation(props, level, level * dt_int / m, 0.5).solve(state.stacked())
         assert info["converged"] and info["iterations"] <= 3
-        assert np.abs(row - seq.W[level]).max() < 1e-12 * max(1.0, np.abs(seq.W).max())
+        assert np.abs(row - seq_w[level]).max() < 1e-12 * scale
 
 
 def test_wr_determinism(channel_pipeline):

@@ -212,6 +212,48 @@ def test_run_experiment_artifacts(tmp_path):
     assert "gamma" in summary and "N =   3" in summary
 
 
+def test_run_experiment_writes_every_n(tmp_path):
+    """`paradiff run` runs several N on one pipeline: one runs.csv row and one
+    file set per N, in order, and a summary line for each."""
+    report = run_experiment(tiny_config(n_values=(2, 3)), tmp_path / "out")
+    with (tmp_path / "out" / "runs.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["n"]) for r in rows] == [2, 3] == [r.n for r in report.results]
+    names = {p.name for p in report.files}
+    for n in (2, 3):
+        for stem in ("conv", "timings", "wr_residuals"):
+            assert f"{stem}_N{n}.csv" in names
+        assert {f"solution_N{n}.txt", f"reference_N{n}.txt"} <= names
+    assert all(p.exists() for p in report.files)
+    summary = (tmp_path / "out" / "summary.txt").read_text()
+    assert summary.index("N =   2") < summary.index("N =   3")
+
+
+@pytest.mark.parametrize("kind", ["all-at-once", "sequential"])
+def test_runs_sharing_a_pipeline_match_fresh_pipelines(kind):
+    """The pipeline's propagators cache one-step maps per step size; runs at
+    N = 4 and N = 8 on one pipeline, in either order, are bitwise the runs
+    on a fresh pipeline each."""
+    cfg = tiny_config(fine_kind=kind, substeps=0, compute_reference=False, export_solution=False)
+    fresh = {n: run_single(build_pipeline(cfg), n).run.history for n in (4, 8)}
+    for order in ((4, 8), (8, 4)):
+        pipe = build_pipeline(cfg)
+        for n in order:
+            history = run_single(pipe, n).run.history
+            assert len(history) == len(fresh[n])
+            assert all(np.array_equal(a, b) for a, b in zip(history, fresh[n]))
+
+
+def test_relative_error_is_scale_free_at_large_amplitude():
+    """At amplitude 1e300 the squared norms would overflow to NaN; the error
+    is the amplitude-1 error."""
+    cfg = replace(check_config(), fine_kind="sequential")
+    n = cfg.n_values[0]
+    base = run_single(build_pipeline(cfg), n).relative_error
+    big = run_single(build_pipeline(replace(cfg, source_amplitude=1e300)), n).relative_error
+    assert abs(big - base) <= 1e-12 * base
+
+
 def test_run_experiment_cleans_up_on_emit_failure(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise OSError("disk full")

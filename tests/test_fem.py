@@ -199,3 +199,15 @@ def test_interior_norm_matches_mass():
     ops = assemble_fine(grid, generate_field(grid))
     v = np.arange(grid.n_interior, dtype=float)
     assert np.isclose(ops.norm(v), np.sqrt(v @ (ops.M @ v)), rtol=1e-15)
+
+
+def test_interior_norm_does_not_overflow():
+    """The norm scales v by a power of two first: its bits are unchanged in
+    range, it is homogeneous where sqrt(v^T M v) would overflow, and a zero
+    vector has norm 0."""
+    grid = build_fine_grid(6)
+    ops = assemble_fine(grid, generate_field(grid))
+    v = np.arange(grid.n_interior, dtype=float)
+    assert ops.norm(v) == float(np.sqrt(v @ (ops.M @ v)))
+    assert np.isclose(ops.norm(1e300 * v), 1e300 * ops.norm(v), rtol=1e-14)
+    assert ops.norm(np.zeros(grid.n_interior)) == 0.0

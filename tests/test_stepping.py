@@ -150,13 +150,15 @@ def test_fine_interval_scalar_backward_euler():
     a = 4.0
     sysb = u_only_system(a)
     props = SplitPropagators(sysb, ConstantLoads(np.zeros(sysb.d1), np.zeros(sysb.d2)))
-    state = SplitState(np.array([1.0]), np.zeros(0))
     m = 8
     dt_int = 0.4
-    traj = props.fine_interval(state, dt_int, m)
+    # level s of the interval is `advance` over s substeps from its start
+    levels = [props.advance(np.array([1.0]), np.zeros(0), dt_int / m, s) for s in range(m + 1)]
     kappa = 1.0 / (1.0 + (dt_int / m) * a)
-    assert np.allclose(traj.U[:, 0], kappa ** np.arange(m + 1), rtol=1e-14)
-    assert traj.W.shape == (m + 1, 0)
+    assert np.allclose([u[0] for u, _ in levels], kappa ** np.arange(m + 1), rtol=1e-14)
+    assert all(w.shape == (0,) for _, w in levels)
+    final = props.fine_interval(SplitState(np.array([1.0]), np.zeros(0)), dt_int, m).final
+    assert np.array_equal(final.u, levels[-1][0])
 
 
 def test_fine_interval_scalar_with_source_fixed_point():
@@ -172,16 +174,17 @@ def test_fine_interval_pure_w_explicit_recursion():
     m22, a22, f = 2.0, 3.0, 0.6
     sysb = w_only_system(m22, a22)
     props = SplitPropagators(sysb, ConstantLoads(np.zeros(0), np.array([f])))
-    state = SplitState(np.zeros(0), np.array([1.0]))
     m = 5
     dt = 0.04
-    traj = props.fine_interval(state, dt * m, m)
+    levels = [props.advance(np.zeros(0), np.array([1.0]), dt, s) for s in range(m + 1)]
     w = 1.0
     expect = [w]
     for _ in range(m):
         w = w + dt * (f - a22 * w) / m22
         expect.append(w)
-    assert np.allclose(traj.W[:, 0], expect, rtol=1e-14)
+    assert np.allclose([w_s[0] for _, w_s in levels], expect, rtol=1e-14)
+    final = props.fine_interval(SplitState(np.zeros(0), np.array([1.0])), dt * m, m).final
+    assert np.array_equal(final.w, levels[-1][1])
 
 
 def test_fine_interval_first_order_in_substep(channel_pipeline):

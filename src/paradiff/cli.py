@@ -35,6 +35,7 @@ from .experiment import (
     run_experiment,
     run_single,
 )
+from .msbasis import CONSTRAINT_TOL
 from .parareal import build_fine_propagator
 from .stepping import project_initial
 from .util import save_matrix_txt
@@ -116,26 +117,8 @@ def run_checks(cfg) -> list[tuple[str, bool, str]]:
     """Invariant diagnostics used by the check subcommand."""
     checks: list[tuple[str, bool, str]] = []
     pipe = build_pipeline(replace(cfg, compute_reference=False))
-    space = pipe.space
-
-    res = space.constraint_residual
-    checks.append(("nlmc constraint residuals <= 1e-8", res <= 1e-8, f"max {res:.2e}"))
-
-    spd_ok, spd_msg = True, []
-    for name, mat in (("M11", space.system.M11), ("M22", space.system.M22)):
-        if mat.shape[0] == 0:
-            spd_msg.append(f"{name} empty")
-            continue
-        try:
-            np.linalg.cholesky(mat)
-            spd_msg.append(f"{name} ok")
-        except np.linalg.LinAlgError:
-            spd_ok = False
-            spd_msg.append(f"{name} NOT SPD")
-    checks.append(("mass blocks symmetric positive definite", spd_ok, ", ".join(spd_msg)))
-
-    gamma = pipe.gamma
-    checks.append(("gamma in [0, 1)", 0.0 <= gamma < 1.0, f"gamma = {gamma:.6f}"))
+    res = pipe.space.constraint_residual
+    checks.append((f"nlmc constraint residuals <= {CONSTRAINT_TOL:g}", res <= CONSTRAINT_TOL, f"max {res:.2e}"))
 
     n = cfg.n_values[0]
     tg = cfg.time_grid(n)
@@ -165,7 +148,7 @@ def run_checks(cfg) -> list[tuple[str, bool, str]]:
          f"max {worst:.2e}, {own:.2e} at the run's M = {tg.substeps}, alpha = {cfg.alpha:g}")
     )
 
-    row = project_initial(np.zeros(pipe.grid.n_interior), space, pipe.ops).stacked()
+    row = project_initial(np.zeros(pipe.grid.n_interior), pipe.space, pipe.ops).stacked()
     # both fine propagators as the runs build them, WR with its epsilon-derived tolerance
     wr, seq = [build_fine_propagator(kind, pipe.propagators, tg, cfg.alpha, cfg.epsilon).propagate(row)[0]
                for kind in ("all-at-once", "sequential")]
@@ -180,12 +163,9 @@ def run_checks(cfg) -> list[tuple[str, bool, str]]:
 def cmd_check(args) -> int:
     cfg = _load_with_overrides(args, check_config())
     checks = run_checks(cfg)
-    failed = 0
     for name, ok, detail in checks:
-        tag = "ok" if ok else "FAIL"
-        if not ok:
-            failed += 1
-        print(f"[{tag}] {name}: {detail}")
+        print(f"[{'ok' if ok else 'FAIL'}] {name}: {detail}")
+    failed = sum(not ok for _, ok, _ in checks)
     if failed:
         print(f"{failed} of {len(checks)} checks failed")
         return 3

@@ -37,7 +37,7 @@ from .fem import (
     reference_solve,
 )
 from .msbasis import MultiscaleSpace, build_multiscale_space, project_load, subspace_angle
-from .parareal import ParerealRun, build_fine_propagator, run_parareal
+from .parareal import FineSolveError, ParerealRun, build_fine_propagator, run_parareal
 from .stepping import ConstantLoads, SplitPropagators, TimeGrid, project_initial
 from .util import save_matrix_txt, write_csv
 
@@ -346,18 +346,12 @@ def run_single(pipe: Pipeline, n: int) -> RunResult:
         )
     fine = build_fine_propagator(cfg.fine_kind, pipe.propagators, tg, cfg.alpha, cfg.epsilon)
     initial = project_initial(np.zeros(pipe.grid.n_interior), pipe.space, pipe.ops).stacked()
-    # row n is final from iterate n on, so iteration N + 1 updates nothing
-    run = run_parareal(pipe.propagators, fine, initial, tg, cfg.epsilon, tg.n_intervals + 1)
-    if run.failed:
-        raise ExperimentError(
-            f"fine N={n}",
-            f"waveform relaxation: {len(run.failed)} fine solves diverged "
-            f"at iteration {run.iterations} on intervals {run.failed}",
-        )
+    try:
+        run = run_parareal(pipe.propagators, fine, initial, tg, cfg.epsilon)
+    except FineSolveError as exc:
+        raise ExperimentError(f"fine N={n}", f"waveform relaxation: {exc}") from exc
 
-    ref_final = None
-    err = float("nan")
-    series: list[float] = []
+    ref_final, err, series = None, float("nan"), []
     if cfg.compute_reference:
         _, states = reference_solve(
             pipe.ops, cfg.to_source(), cfg.t_end, tg.n_intervals * tg.substeps,

@@ -16,6 +16,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from .util import exact_scale
+
 # Reference element matrices for a bilinear element on a square cell of side
 # h, corner order (SW, SE, NE, NW). The stiffness matrix of the unit-kappa
 # Laplacian on a square is h-independent in 2D; the mass matrix scales by h^2.
@@ -242,7 +244,7 @@ class FineOperators:
 
     def norm(self, v: np.ndarray) -> float:
         """Discrete L2 norm sqrt(v^T M v) over interior nodes, v scaled exactly so nothing overflows."""
-        scale = np.ldexp(1.0, np.frexp(np.abs(v).max(initial=0.0))[1])
+        scale = exact_scale(v)
         x = v / scale
         return float(scale * np.sqrt(x @ (self.M @ x)))
 
@@ -272,12 +274,16 @@ def reference_solve(
 
     Returns (times, states) where states holds every step when
     keep_trajectory is set, otherwise just the initial and final vectors.
+    Stepping (u0, b) / s for their exact scale s gives the unscaled bits
+    times 1/s, and no overflow for data near the largest double.
     """
     n = ops.M.shape[0]
     dt = t_end / n_steps
     u = np.zeros(n) if u0 is None else np.asarray(u0, dtype=float).copy()
     lu = splu((ops.M / dt + ops.A).tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
     b = ops.load(source)
+    s = exact_scale(np.concatenate([u, b]))
+    u, b = u / s, b / s
     times = np.linspace(0.0, t_end, n_steps + 1)
     states = [u.copy()]
     for _ in range(n_steps):
@@ -287,7 +293,9 @@ def reference_solve(
     if not keep_trajectory:
         states.append(u.copy())
         times = np.array([0.0, t_end])
-    return times, np.array(states)
+    states = np.array(states)
+    states *= s
+    return times, states
 
 
 def node_values_on_grid(grid: FineGrid, interior_values: np.ndarray) -> np.ndarray:

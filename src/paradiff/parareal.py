@@ -16,14 +16,11 @@ iteration k copies rows 0..k-1 and sweeps F over intervals k-1..N-1 and G
 over k..N-1. A row's fine value does not depend on the rows swept with
 it, so after N iterations every row is the sequential fine composition.
 The loop stops when the largest Euclidean update over the endpoint rows
-is at most epsilon, or at the caller's bound k_max. With finite iterates
-and any epsilon >= 0 it stops at iteration N + 1 at the latest, whose
-update is exactly zero, so N + 1 is the bound the experiment driver
-passes; a smaller k_max cuts the run short.
-
-It also stops, not converged, at the first iteration with a fine solve
-that did not converge, which for waveform relaxation means one that
-diverged.
+is at most epsilon. Iteration N + 1 updates nothing, so with finite
+iterates and any epsilon >= 0 the run stops by then; that stop rule is
+the loop's only exit. A fine solve that did not converge, which for
+waveform relaxation means one that diverged, raises FineSolveError
+instead.
 """
 
 from __future__ import annotations
@@ -35,6 +32,7 @@ import numpy as np
 
 from .allatonce import WaveformRelaxation
 from .stepping import SplitPropagators, TimeGrid
+from .util import exact_scale
 
 
 class SequentialFine:
@@ -84,12 +82,17 @@ def build_fine_propagator(
     raise ValueError(f"unknown fine propagator kind {kind!r}")
 
 
+class FineSolveError(RuntimeError):
+    """A fine solve of a parareal iteration did not converge."""
+
+
 @dataclass
 class ParerealRun:
+    """Every iterate of one run, and the stop rule's verdict as `converged`."""
+
     d1: int
     history: list[np.ndarray]  # per iteration: (N+1, d1+d2) endpoint coefficients
     max_diffs: list[float]
-    iterations: int
     converged: bool
     # per iteration k: the fine propagator's info dict of each solve it
     # made, for intervals k-1..N-1 in order
@@ -97,9 +100,10 @@ class ParerealRun:
     fine_seconds: list[float] = field(default_factory=list)
     coarse_seconds: list[float] = field(default_factory=list)
     total_seconds: float = 0.0
-    # intervals whose fine solve in the last iteration did not converge;
-    # the loop stops at the first iteration with any
-    failed: list[int] = field(default_factory=list)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.max_diffs)
 
     def endpoint(self, k: int = -1) -> tuple[np.ndarray, np.ndarray]:
         """(u, w) coefficients at t_end for iteration k."""
@@ -116,7 +120,7 @@ class ParerealRun:
 def max_state_diff(prev: np.ndarray, new: np.ndarray) -> float:
     """Largest Euclidean update over interval endpoints n = 1..N, scaled exactly so nothing overflows."""
     d = new[1:] - prev[1:]
-    scale = np.ldexp(1.0, np.frexp(np.abs(d).max(initial=0.0))[1])
+    scale = exact_scale(d)
     return float(scale * np.linalg.norm(d / scale, axis=1).max())
 
 
@@ -134,67 +138,58 @@ def initial_sweep(propagators: SplitPropagators, initial: np.ndarray, time_grid:
 
 
 def run_parareal(
-    propagators: SplitPropagators,
-    fine,
-    initial: np.ndarray,
-    time_grid: TimeGrid,
-    epsilon: float,
-    k_max: int,
+    propagators: SplitPropagators, fine, initial: np.ndarray, time_grid: TimeGrid, epsilon: float
 ) -> ParerealRun:
-    """Full parareal run.
+    """Full parareal run of at most N + 1 iterations: iteration N + 1 updates
+    nothing, so with finite iterates and any epsilon >= 0 the stop rule
+    fires by then. Raises FineSolveError, before the correction, at the
+    first iteration with a fine solve that did not converge.
 
     The correction reuses the coarse values computed while building the
     previous iterate (for iteration 1, the initial sweep itself), so
     iteration k costs N-k+1 fine and N-k coarse solves.
     """
     n_int, dt = time_grid.n_intervals, time_grid.dt
-    d1 = propagators.system.d1
     t_start = time.perf_counter()
 
     x = initial_sweep(propagators, initial, time_grid)
     coarse_prev = x[1:].copy()
     history = [x]
-    max_diffs: list[float] = []
-    fine_info: list[list[dict]] = []
-    fine_seconds: list[float] = []
-    coarse_seconds: list[float] = []
+    max_diffs, fine_info, fine_seconds, coarse_seconds = [], [], [], []
     converged = False
-    failed: list[int] = []
 
-    for k in range(1, k_max + 1):
+    for k in range(1, n_int + 2):
         # rows 0..k-1 are final; F runs on intervals k-1..N-1, G on k..N-1
-        first = min(k - 1, n_int)
         tic = time.perf_counter()
-        rows, infos = fine.sweep(x[first:n_int])
+        rows, infos = fine.sweep(x[k - 1 : n_int])
         fine_seconds.append(time.perf_counter() - tic)
         fine_info.append(infos)
+        failed = [n for n, info in enumerate(infos, start=k - 1) if not info["converged"]]
+        if failed:
+            raise FineSolveError(f"{len(failed)} fine solves diverged at iteration {k} on intervals {failed}")
 
         tic = time.perf_counter()
         x = x.copy()
-        x[first + 1 :] = rows
-        for n in range(first + 1, n_int):
+        x[k:] = rows
+        for n in range(k, n_int):
             g = propagators.coarse_step(x[n], dt)
             x[n + 1] += g - coarse_prev[n]
             coarse_prev[n] = g
         coarse_seconds.append(time.perf_counter() - tic)
 
         history.append(x)
-        diff, stop = check_stop(history[-2], x, epsilon)
+        diff, converged = check_stop(history[-2], x, epsilon)
         max_diffs.append(diff)
-        failed = [n for n, info in enumerate(infos, start=first) if not info["converged"]]
-        if failed or stop:
-            converged = stop and not failed
+        if converged:
             break
 
     return ParerealRun(
-        d1=d1,
+        d1=propagators.system.d1,
         history=history,
         max_diffs=max_diffs,
-        iterations=len(max_diffs),
         converged=converged,
         fine_info=fine_info,
         fine_seconds=fine_seconds,
         coarse_seconds=coarse_seconds,
         total_seconds=time.perf_counter() - t_start,
-        failed=failed,
     )

@@ -1,4 +1,4 @@
-"""Plain-text exports: full-precision matrices and CSV tables."""
+"""Exact power-of-two scaling and plain-text exports: full-precision matrices and CSV tables."""
 
 from __future__ import annotations
 
@@ -6,6 +6,11 @@ import csv
 from pathlib import Path
 
 import numpy as np
+
+
+def exact_scale(v) -> float:
+    """The power of two above max|v|, 1 for a zero v: division by it is exact and leaves |entries| < 1."""
+    return float(np.ldexp(1.0, np.frexp(np.abs(v).max(initial=0.0))[1]))
 
 
 def save_matrix_txt(path, array) -> None:

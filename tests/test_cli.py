@@ -43,8 +43,8 @@ def test_check_passes_on_default_config(capsys):
     rc = cli.main(["check"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "all 6 checks passed" in out
-    assert out.count("[ok]") == 6
+    assert "all 4 checks passed" in out
+    assert out.count("[ok]") == 4
     assert "[FAIL]" not in out
 
 

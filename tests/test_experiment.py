@@ -306,6 +306,17 @@ def test_diverged_waveform_relaxation_fails_with_stage_tag():
     assert "at iteration 1 on intervals [0, 1, 2, 3, 4, 5, 6, 7]" in str(err.value)
 
 
+def test_huge_source_amplitude_keeps_the_reference_finite():
+    """At amplitude 1e308 the reference steps exactly scaled data, so its
+    relative error is the amplitude-1 value, not NaN from an overflowed solve."""
+    cfg = replace(check_config(), fine_kind="sequential", export_solution=False)
+    errors = [
+        run_single(build_pipeline(replace(cfg, source_amplitude=amp)), 8).relative_error
+        for amp in (1.0, 1e308)
+    ]
+    assert errors[1] == pytest.approx(errors[0], rel=1e-12)
+
+
 def test_wr_residuals_label_each_solve_with_its_interval(tmp_path):
     """Iteration k solves intervals k-1..N-1, and the CSV names them so."""
     n = 3

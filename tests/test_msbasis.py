@@ -1,9 +1,12 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
 from paradiff.fem import Channel, assemble_fine, build_fine_grid, generate_field
+from paradiff import msbasis
 from paradiff.msbasis import (
     build_coarse_partition,
     build_multiscale_space,
@@ -309,6 +312,25 @@ def test_patch_constraints_hold_to_round_off(channel_pipeline):
     # the symmetric ordering of the saddle systems keeps the averages exact
     # to round-off; the 1e-8 checks above only catch a broken solve
     assert channel_pipeline.space.constraint_residual <= 1e-13
+
+
+def test_high_constraint_residuals_share_one_warning(monkeypatch, caplog):
+    """Blocks above the residual tolerance get one warning naming their count and the worst."""
+    ops = small_ops()
+    partition = build_coarse_partition(ops.grid, 4, layers=1)
+    decomp = detect_continua(partition, ops.field)
+    solve = msbasis.build_nlmc_basis
+
+    def inflated(partition, decomp, kkt, block):
+        nodes, psi, _ = solve(partition, decomp, kkt, block)
+        return nodes, psi, {2: 1e-6, 5: 3e-6, 9: 2e-6}.get(block, 0.0)
+
+    monkeypatch.setattr(msbasis, "build_nlmc_basis", inflated)
+    with caplog.at_level(logging.WARNING, logger="paradiff"):
+        _, worst = raw_bases(partition, decomp, ops)
+    assert worst == 3e-6
+    (record,) = [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert record.getMessage() == "3 blocks have a constraint residual above 1e-08, worst 3.00e-06 on block 5"
 
 
 def test_project_load_is_transpose_product(channel_pipeline, rng):

@@ -3,6 +3,7 @@ import pytest
 
 from paradiff.msbasis import CoarseSystem
 from paradiff.parareal import (
+    FineSolveError,
     build_fine_propagator,
     initial_sweep,
     max_state_diff,
@@ -20,13 +21,13 @@ def scalar_system(a=6.0):
 
 
 def make_run(pipe, *, n=6, substeps=4, fine_kind="sequential",
-             epsilon=1e-14, k_max=100, alpha=0.5):
+             epsilon=1e-14, alpha=0.5):
     """Parareal on pipe."""
     tg = TimeGrid(pipe.config.t_end, n, substeps)
     props = SplitPropagators(pipe.space.system, pipe.loads)
     fine = build_fine_propagator(fine_kind, props, tg, alpha=alpha, epsilon=epsilon)
     initial = np.zeros(pipe.space.d1 + pipe.space.d2)
-    run = run_parareal(props, fine, initial, time_grid=tg, epsilon=epsilon, k_max=k_max)
+    run = run_parareal(props, fine, initial, time_grid=tg, epsilon=epsilon)
     return run, fine, props, tg
 
 
@@ -50,27 +51,26 @@ def test_initial_sweep_composes_coarse(channel_pipeline):
 
 
 def test_exactness_after_n_iterations_bitwise(channel_pipeline):
-    """Forcing N iterations with an unreachable epsilon reproduces the
-    sequential composition of the fine propagator bit for bit."""
-    run, fine, props, tg = make_run(
-        channel_pipeline, n=6, substeps=4, epsilon=0.0, k_max=6
-    )
-    assert run.iterations == 6 and not run.converged
+    """With epsilon = 0 the run ends on the zero update of iteration N + 1,
+    and iterate N is the sequential composition of the fine propagator bit
+    for bit."""
+    run, fine, props, tg = make_run(channel_pipeline, n=6, substeps=4, epsilon=0.0)
+    assert run.iterations == 7 and run.converged
     expected = [np.zeros(channel_pipeline.space.d1 + channel_pipeline.space.d2)]
     for _ in range(tg.n_intervals):
         expected.append(fine.propagate(expected[-1])[0])
-    assert np.array_equal(run.history[-1], np.array(expected))
+    assert np.array_equal(run.history[6], np.array(expected))
 
 
 def test_exactness_holds_for_all_at_once_kind(channel_pipeline):
     run, fine, props, tg = make_run(
-        channel_pipeline, n=5, substeps=6, fine_kind="all-at-once",
-        epsilon=0.0, k_max=5,
+        channel_pipeline, n=5, substeps=6, fine_kind="all-at-once", epsilon=0.0,
     )
+    assert run.iterations == 6 and run.converged
     expected = [np.zeros(channel_pipeline.space.d1 + channel_pipeline.space.d2)]
     for _ in range(tg.n_intervals):
         expected.append(fine.propagate(expected[-1])[0])
-    assert np.array_equal(run.history[-1], np.array(expected))
+    assert np.array_equal(run.history[5], np.array(expected))
 
 
 def reference_parareal(props, fine, initial, tg, iterations):
@@ -95,7 +95,7 @@ def reference_parareal(props, fine, initial, tg, iterations):
 @pytest.mark.parametrize("fine_kind", ["all-at-once", "sequential"])
 def test_settled_intervals_reuse_fine_solves(channel_pipeline, fine_kind):
     pipe = channel_pipeline
-    n, k = 6, 6
+    n, k = 6, 7
     tg = TimeGrid(pipe.config.t_end, n, 4)
     props = SplitPropagators(pipe.space.system, pipe.loads)
     fine = build_fine_propagator(fine_kind, props, tg, alpha=0.5, epsilon=0.0)
@@ -108,8 +108,8 @@ def test_settled_intervals_reuse_fine_solves(channel_pipeline, fine_kind):
 
     fine.sweep = counted
     initial = np.zeros(pipe.space.d1 + pipe.space.d2)
-    run = run_parareal(props, fine, initial, time_grid=tg, epsilon=0.0, k_max=k)
-    assert run.iterations == k
+    run = run_parareal(props, fine, initial, time_grid=tg, epsilon=0.0)
+    assert run.iterations == k and run.converged
 
     h = run.history
     settled = sum(
@@ -152,7 +152,7 @@ def test_iteration_solves_only_unsettled_intervals(channel_pipeline):
 
     fine.sweep, props.coarse_step = counted_fine, counted_coarse
     initial = np.zeros(pipe.space.d1 + pipe.space.d2)
-    run = run_parareal(props, fine, initial, time_grid=tg, epsilon=0.0, k_max=k)
+    run = run_parareal(props, fine, initial, time_grid=tg, epsilon=0.0)
     assert run.iterations == k
     expected = ["G"] * n
     for i in range(1, k + 1):
@@ -164,6 +164,29 @@ def test_iteration_solves_only_unsettled_intervals(channel_pipeline):
     assert np.array_equal(run.history[-1], run.history[-2])
 
 
+def test_unconverged_fine_solve_raises_with_its_interval(channel_pipeline):
+    """A fine solve that does not converge ends the run at its iteration,
+    named by absolute interval: iteration 2 sweeps intervals 1..N-1."""
+    pipe = channel_pipeline
+    tg = TimeGrid(pipe.config.t_end, 5, 2)
+    props = SplitPropagators(pipe.space.system, pipe.loads)
+    fine = build_fine_propagator("sequential", props, tg, alpha=0.5, epsilon=0.0)
+    sweep, iterations = fine.sweep, []
+
+    def failing(rows):
+        out, infos = sweep(rows)
+        iterations.append(len(iterations) + 1)
+        if iterations[-1] == 2:
+            infos[2] = {"converged": False}
+        return out, infos
+
+    fine.sweep = failing
+    initial = np.zeros(pipe.space.d1 + pipe.space.d2)
+    with pytest.raises(FineSolveError, match=r"^1 fine solves diverged at iteration 2 on intervals \[3\]$"):
+        run_parareal(props, fine, initial, time_grid=tg, epsilon=0.0)
+    assert iterations == [1, 2]
+
+
 def test_scalar_closed_form_solution():
     a, f, t_end = 6.0, 2.4, 0.8
     sysb = scalar_system(a)
@@ -172,7 +195,7 @@ def test_scalar_closed_form_solution():
     tg = TimeGrid(t_end, 8, 16)
     fine = build_fine_propagator("all-at-once", props, tg, alpha=0.5, epsilon=1e-15)
     initial = np.array([1.0])
-    run = run_parareal(props, fine, initial, time_grid=tg, epsilon=1e-15, k_max=50)
+    run = run_parareal(props, fine, initial, time_grid=tg, epsilon=1e-15)
     assert run.converged
     kappa = 1.0 / (1.0 + tg.dt_sub * a)
     u_star = f / a
@@ -191,13 +214,13 @@ def test_converges_before_n_on_smooth_case(homogeneous_pipeline):
 def test_zero_epsilon_stops_on_the_exact_zero_update(channel_pipeline):
     """From iterate N on every row is final, so iteration N + 1 updates
     nothing, and an update of exactly epsilon = 0 ends the run converged."""
-    run, *_ = make_run(channel_pipeline, n=4, substeps=3, epsilon=0.0, k_max=50)
+    run, *_ = make_run(channel_pipeline, n=4, substeps=3, epsilon=0.0)
     assert run.iterations == 5 and run.converged
     assert run.max_diffs[-1] == 0.0
 
 
 def test_history_and_timing_shapes(channel_pipeline):
-    run, _, _, tg = make_run(channel_pipeline, n=4, substeps=3, k_max=4, epsilon=0.0)
+    run, _, _, tg = make_run(channel_pipeline, n=4, substeps=3, epsilon=0.0)
     assert len(run.history) == run.iterations + 1
     assert all(h.shape == (5, channel_pipeline.space.d1 + channel_pipeline.space.d2)
                for h in run.history)

@@ -29,6 +29,7 @@ from .fem import (
     Channel,
     FineOperators,
     FineGrid,
+    ReferenceSolveError,
     SourceSpec,
     assemble_fine,
     build_fine_grid,
@@ -353,10 +354,13 @@ def run_single(pipe: Pipeline, n: int) -> RunResult:
 
     ref_final, err, series = None, float("nan"), []
     if cfg.compute_reference:
-        _, states = reference_solve(
-            pipe.ops, cfg.to_source(), cfg.t_end, tg.n_intervals * tg.substeps,
-            keep_trajectory=False,
-        )
+        try:
+            _, states = reference_solve(
+                pipe.ops, cfg.to_source(), cfg.t_end, tg.n_intervals * tg.substeps,
+                keep_trajectory=False,
+            )
+        except ReferenceSolveError as exc:
+            raise ExperimentError(f"reference N={n}", f"did not settle: {exc}") from exc
         ref_final = states[-1]
         for k in range(len(run.history)):
             u, w = run.endpoint(k)

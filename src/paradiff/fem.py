@@ -262,6 +262,14 @@ def assemble_fine(grid: FineGrid, field: PermeabilityField) -> FineOperators:
     )
 
 
+# The reference's Krylov result is checked every _CHECK_EVERY vectors; it settles at a change <= _RTOL.
+_CHECK_EVERY, _RTOL, _MAX_VECTORS = 10, 1e-10, 200
+
+
+class ReferenceSolveError(RuntimeError):
+    """The reference's Krylov basis reached _MAX_VECTORS before its result settled."""
+
+
 def reference_solve(
     ops: FineOperators,
     source: SourceSpec,
@@ -274,28 +282,45 @@ def reference_solve(
 
     Returns (times, states) where states holds every step when
     keep_trajectory is set, otherwise just the initial and final vectors.
-    Stepping (u0, b) / s for their exact scale s gives the unscaled bits
-    times 1/s, and no overflow for data near the largest double.
+    The states come from one M-orthonormal Krylov basis V of (M + gamma A)^-1 M,
+    gamma = t_end/10, started from (M + gamma A)^-1 b and a nonzero u0: with the
+    Ritz pairs (theta, Y) of (A, M) on V, state n is V Y [rho^n Y^T V^T M u0 +
+    (1 - rho^n)/theta Y^T V^T b], rho = 1/(1 + dt theta). Past the cap it raises
+    ReferenceSolveError. Exact scaling of (u0, b) keeps V scale-free and 1e308 finite.
     """
-    n = ops.M.shape[0]
-    dt = t_end / n_steps
-    u = np.zeros(n) if u0 is None else np.asarray(u0, dtype=float).copy()
-    lu = splu((ops.M / dt + ops.A).tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
     b = ops.load(source)
+    u = np.zeros_like(b) if u0 is None else np.asarray(u0, dtype=float)
     s = exact_scale(np.concatenate([u, b]))
     u, b = u / s, b / s
-    times = np.linspace(0.0, t_end, n_steps + 1)
-    states = [u.copy()]
-    for _ in range(n_steps):
-        u = lu.solve(ops.M @ u / dt + b)
-        if keep_trajectory:
-            states.append(u.copy())
-    if not keep_trajectory:
-        states.append(u.copy())
-        times = np.array([0.0, t_end])
-    states = np.array(states)
-    states *= s
-    return times, states
+    lu = splu((ops.M + t_end / 10 * ops.A).tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
+    steps = np.arange(n_steps + 1) if keep_trajectory else np.array([0, n_steps])
+    V, H = np.empty((_MAX_VECTORS, b.size)), np.zeros((_MAX_VECTORS, _MAX_VECTORS))  # H = V A V^T, lower part
+    prev = np.zeros((len(steps), _MAX_VECTORS))
+    new, k, j, checked = [w for w in (lu.solve(b) if b.any() else b, u) if w.any()], 0, 0, 0
+    while True:
+        for w in new:  # M-orthogonalize twice; a vector in the span adds nothing
+            mw = ops.M @ w
+            norm0 = np.sqrt(w @ mw)
+            for _ in range(2):
+                w = w - V[:k].T @ (V[:k] @ mw)
+                mw = ops.M @ w
+            if (norm := np.sqrt(w @ mw)) > 1e-12 * norm0:
+                V[k] = w / norm
+                H[k, : k + 1], k = V[: k + 1] @ (ops.A @ V[k]), k + 1
+        if j == k or k >= checked + _CHECK_EVERY:  # an exhausted space is invariant, so exact
+            theta, y = np.linalg.eigh(H[:k, :k])
+            n_log_rho = np.outer(steps, -np.log1p(t_end / n_steps * theta))
+            a, beta = np.stack([ops.M @ u, b]) @ V[:k].T @ y  # M u0 and b in the Ritz basis
+            coef = (np.exp(n_log_rho) * a - np.expm1(n_log_rho) / theta * beta) @ y.T
+            # per state, in the M-norm, since V is M-orthonormal
+            change = np.max(np.linalg.norm(coef - prev[:, :k], axis=1) / np.linalg.norm(coef, axis=1).clip(1e-300))
+            if j == k or change <= _RTOL:
+                break
+            if k >= _MAX_VECTORS:
+                raise ReferenceSolveError(f"{k} Krylov vectors, last relative change {change:.3e}")
+            prev[:, :k], checked = coef, k
+        new, j = [lu.solve(ops.M @ V[j])], j + 1
+    return np.linspace(0.0, t_end, n_steps + 1)[steps], (coef @ V[:k]) * s
 
 
 def node_values_on_grid(grid: FineGrid, interior_values: np.ndarray) -> np.ndarray:

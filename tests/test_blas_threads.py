@@ -1,4 +1,4 @@
-"""Parareal histories must not depend on the BLAS thread count.
+"""BLAS threads: one by default, and parareal histories that do not depend on the count.
 
 Each run goes to a subprocess because OpenBLAS reads OPENBLAS_NUM_THREADS
 once, when numpy loads.
@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import paradiff
 
@@ -52,3 +53,20 @@ def test_histories_bitwise_equal_at_one_and_two_blas_threads(tmp_path):
     for kind in one:
         assert one[kind].shape == two[kind].shape, kind
         assert np.array_equal(one[kind], two[kind]), kind
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in /proc")
+def test_one_blas_thread_by_default():
+    """Importing paradiff before numpy leaves OpenBLAS at one thread."""
+    src = str(Path(paradiff.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import os, paradiff.cli, numpy as np\n"
+        "a = np.ones((400, 400)); a @ a\n"
+        "print(len(os.listdir('/proc/self/task')))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=300)
+    assert done.stdout.split() == ["1"]

@@ -5,6 +5,7 @@ import pytest
 
 import paradiff.cli as cli
 import paradiff.experiment as expmod
+import paradiff.fem as fem
 import paradiff.parareal as parareal
 from paradiff.allatonce import WaveformRelaxation
 from paradiff.experiment import (
@@ -113,6 +114,20 @@ def test_diverged_waveform_relaxation_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "[fine N=8] waveform relaxation: 8 fine solves diverged" in err
     assert "at iteration 1 on intervals" in err
+    assert not any(out.iterdir())
+
+
+def test_unsettled_reference_exits_1(tmp_path, monkeypatch, capsys):
+    """The check setup's reference settles at 30 Krylov vectors; at a cap of
+    20 the run fails with the reference stage instead of writing its error."""
+    monkeypatch.setattr(fem, "_MAX_VECTORS", 20)
+    path = tmp_path / "check.ini"
+    dump_config(replace(check_config(), fine_kind="sequential"), path)
+    out = tmp_path / "out"
+    rc = cli.main(["solve", "--config", str(path), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "[reference N=8] did not settle: 20 Krylov vectors, last relative change" in err
     assert not any(out.iterdir())
 
 

@@ -184,6 +184,34 @@ def test_backward_euler_reaches_steady_state():
     assert states.shape[0] == 2
 
 
+def backward_euler_loop(ops, b, u0, t_end, n_steps):
+    """The reference by its definition: one sparse solve per step."""
+    dt = t_end / n_steps
+    lu = spla.splu((ops.M / dt + ops.A).tocsc())
+    states = [u0]
+    for _ in range(n_steps):
+        states.append(lu.solve(ops.M @ states[-1] / dt + b))
+    return np.array(states)
+
+
+@pytest.mark.parametrize("keep_trajectory", [True, False])
+def test_reference_matches_the_backward_euler_loop(channel_pipeline, rng, keep_trajectory):
+    """Evaluated from one Krylov space, each state is the stepped one to 1e-10.
+
+    u0 is scaled so that it and the source contribute alike at T."""
+    ops, cfg = channel_pipeline.ops, channel_pipeline.config
+    u0 = 0.01 * rng.standard_normal(ops.M.shape[0])
+    times, states = reference_solve(
+        ops, cfg.to_source(), cfg.t_end, 100, u0=u0, keep_trajectory=keep_trajectory
+    )
+    expect = backward_euler_loop(ops, ops.load(cfg.to_source()), u0, cfg.t_end, 100)
+    if not keep_trajectory:
+        expect = expect[[0, -1]]
+    assert states.shape == expect.shape and len(times) == len(states)
+    for got, want in zip(states, expect):
+        assert ops.norm(got - want) <= 1e-10 * ops.norm(want)
+
+
 def test_node_values_on_grid_layout():
     grid = build_fine_grid(3)
     vals = node_values_on_grid(grid, np.array([1.0, 2.0, 3.0, 4.0]))

@@ -37,7 +37,6 @@ from .experiment import (
 )
 from .msbasis import CONSTRAINT_TOL
 from .parareal import build_fine_propagator
-from .stepping import project_initial
 from .util import save_matrix_txt
 
 
@@ -148,9 +147,8 @@ def run_checks(cfg) -> list[tuple[str, bool, str]]:
          f"max {worst:.2e}, {own:.2e} at the run's M = {tg.substeps}, alpha = {cfg.alpha:g}")
     )
 
-    row = project_initial(np.zeros(pipe.grid.n_interior), pipe.space, pipe.ops).stacked()
     # both fine propagators as the runs build them, WR with its epsilon-derived tolerance
-    wr, seq = [build_fine_propagator(kind, pipe.propagators, tg, cfg.alpha, cfg.epsilon).propagate(row)[0]
+    wr, seq = [build_fine_propagator(kind, pipe.propagators, tg, cfg.alpha, cfg.epsilon).propagate(pipe.initial)[0]
                for kind in ("all-at-once", "sequential")]
     gap, scale = np.linalg.norm(wr - seq), np.linalg.norm(seq)
     checks.append(

@@ -4,8 +4,9 @@ Builds one NLMC basis function per continuum (a coarse block's matrix
 region or one connected channel part in it) by minimizing energy on the
 block's oversampled patch subject to cell-set averages on every continuum
 of the patch. Each patch saddle system is a principal submatrix of one
-global [[A, C^T], [C, 0]], C the cell-average operator, and the solutions
-fill one raw-basis array whose column r is continuum r.
+global [[A, C^T], [C, 0]], C the cell-average operator, factored once for
+all blocks that share the patch, and the solutions fill one raw-basis
+array whose column r is continuum r.
 
 The NLMC set is then split into two subspaces: V_H1 holds the
 mean-subtracted channel bases (the stiff directions integrated implicitly)
@@ -165,34 +166,42 @@ def build_nlmc_basis(
     partition: CoarsePartition,
     decomp: ContinuumDecomposition,
     kkt: sp.csc_matrix,
-    block: int,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Energy-minimizing bases of one block under cell-average constraints.
+    blocks: np.ndarray,
+    raw: np.ndarray,
+) -> np.ndarray:
+    """Energy-minimizing bases of the blocks that share one oversampled patch.
 
-    For every continuum m of the block, solves on the oversampled patch (zero
-    Dirichlet rim) the saddle system: minimize the kappa-energy subject to
-    the basis having average delta_{ij} delta_{mn} over continuum (j, n) of
-    every block j in the patch: the principal submatrix of kkt (see
-    saddle_matrix) on the patch's nodes and continua. One factorization and
-    one multi-column solve serve all continua of the block. The KKT matrix
-    is structurally symmetric with a zero (2,2) block, so it is ordered
-    symmetrically. Returns the patch nodes, their solution rows and the
-    largest constraint residual.
+    For every continuum m of each block, solves on the patch (zero Dirichlet
+    rim) the saddle system: minimize the kappa-energy subject to the basis
+    having average delta_{ij} delta_{mn} over continuum (j, n) of every
+    block j in the patch: the principal submatrix of kkt (see saddle_matrix)
+    on the patch's nodes and continua. One factorization serves every
+    continuum of the group, solved 16 columns at a time straight into the
+    matching columns of raw. The KKT matrix is structurally symmetric with a
+    zero (2,2) block, so it is ordered symmetrically. Returns each block's
+    largest constraint residual, in the order of blocks.
     """
-    nodes = partition.patch_interior(block)
-    rows = np.flatnonzero(np.isin(decomp.block, partition.patch_blocks(block)))
+    nodes = partition.patch_interior(blocks[0])
+    rows = np.flatnonzero(np.isin(decomp.block, partition.patch_blocks(blocks[0])))
     idx = np.concatenate([nodes, partition.grid.n_interior + rows])
     sub = kkt[:, idx][idx]
     try:
         lu = splu(sub, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
     except RuntimeError as exc:
-        raise RuntimeError(f"singular saddle system on block {block}: {exc}") from exc
+        raise RuntimeError(f"singular saddle system on the patch of block {blocks[0]}: {exc}") from exc
 
-    own = np.flatnonzero(decomp.block[rows] == block)
-    rhs = np.zeros((idx.size, own.size))
-    rhs[nodes.size + own, np.arange(own.size)] = 1.0
-    sol = lu.solve(rhs)
-    return nodes, sol[: nodes.size], float(np.abs(sub[nodes.size :] @ sol - rhs[nodes.size :]).max())
+    constraints = sub[nodes.size :]
+    own = np.flatnonzero(np.isin(decomp.block[rows], blocks))
+    column_residual = np.empty(own.size)
+    for j in range(0, own.size, 16):
+        pos = own[j : j + 16]
+        rhs = np.zeros((idx.size, pos.size))
+        rhs[nodes.size + pos, np.arange(pos.size)] = 1.0
+        sol = lu.solve(rhs)
+        raw[nodes[:, None], rows[pos]] = sol[: nodes.size]
+        column_residual[j : j + 16] = np.abs(constraints @ sol - rhs[nodes.size :]).max(axis=0)
+    owner = decomp.block[rows[own]]
+    return np.array([column_residual[owner == b].max() for b in blocks])
 
 
 def raw_bases(
@@ -202,15 +211,20 @@ def raw_bases(
     for continuum r, and the largest patch constraint residual. The blocks
     whose residual exceeds CONSTRAINT_TOL share one warning.
 
-    The array is column-major: split_spaces takes dot products on single
-    columns, and a strided column can round differently in the last bits.
+    Blocks are grouped by patch_rect and each distinct patch is factored
+    once, so at layers >= nb - 1, where every patch is the whole domain, the
+    whole basis is one factorization of the saddle matrix. The array is
+    column-major: split_spaces takes dot products on single columns, and a
+    strided column can round differently in the last bits.
     """
     kkt = saddle_matrix(ops, decomp)
     raw = np.zeros((ops.grid.n_interior, decomp.block.size), order="F")
     residuals = np.zeros(partition.n_blocks)
+    patches: dict[tuple, list[int]] = {}
     for b in range(partition.n_blocks):
-        nodes, psi, residuals[b] = build_nlmc_basis(partition, decomp, kkt, b)
-        raw[nodes[:, None], np.flatnonzero(decomp.block == b)] = psi
+        patches.setdefault(partition.patch_rect(b), []).append(b)
+    for blocks in patches.values():
+        residuals[blocks] = build_nlmc_basis(partition, decomp, kkt, np.array(blocks), raw)
     worst, high = int(residuals.argmax()), int((residuals > CONSTRAINT_TOL).sum())
     if high:
         log.warning("%d blocks have a constraint residual above %g, worst %.2e on block %d",
@@ -270,10 +284,24 @@ class MultiscaleSpace:
         return self.Psi1 @ u + self.Psi2 @ w
 
 
+def column_major_csc(dense: np.ndarray) -> sp.csc_matrix:
+    """The nonzeros of dense as csc, read column by column.
+
+    Equal to sp.csc_matrix(dense), without its COO round trip; a
+    column-major dense array is read in place.
+    """
+    cols = np.ascontiguousarray(dense.T)
+    mask = cols != 0
+    indptr = np.zeros(cols.shape[0] + 1, dtype=np.int32)
+    np.cumsum(mask.sum(axis=1), out=indptr[1:])
+    rows = np.broadcast_to(np.arange(cols.shape[1], dtype=np.int32), cols.shape)[mask]
+    return sp.csc_matrix((cols[mask], rows, indptr), shape=dense.shape)
+
+
 def split_spaces(
     raw: np.ndarray, decomp: ContinuumDecomposition, ops: FineOperators
 ) -> tuple[sp.csc_matrix, sp.csc_matrix, list, list]:
-    """Split the raw bases into (Psi1, Psi2, labels1, labels2).
+    """Split the raw bases into (Psi1, Psi2, labels1, labels2); raw is overwritten.
 
     The mean field psi_bar is the plain average of every raw column. Each
     channel column is replaced by psi - (m(psi, psi_bar)/m(psi_bar,
@@ -306,8 +334,14 @@ def split_spaces(
     coeff = np.array([raw[:, r] @ s_bar for r in chan]) / denom
     if not chan.size:
         log.info("no channel continua found: V_H1 is empty (d1 = 0)")
-    psi1 = sp.csc_matrix(raw[:, chan] - psi_bar[:, None] * coeff)
-    psi2 = sp.csc_matrix(np.column_stack([psi_bar, raw[:, mat]]))
+    psi1 = column_major_csc(raw[:, chan] - psi_bar[:, None] * coeff)
+    # V_H2 is laid out in raw's own leading columns, which saves a dense copy
+    for i, r in enumerate(mat):  # mat ascends, so r >= i
+        raw[:, i] = raw[:, r]
+    for i in reversed(range(mat.size)):
+        raw[:, i + 1] = raw[:, i]
+    raw[:, 0] = psi_bar
+    psi2 = column_major_csc(raw[:, : 1 + mat.size])
     labels = list(zip(decomp.block.tolist(), decomp.component.tolist()))
     return psi1, psi2, [labels[r] for r in chan], [(-1, -1)] + [labels[r] for r in mat]
 
@@ -315,18 +349,26 @@ def split_spaces(
 def project_coarse(psi1: sp.csc_matrix, psi2: sp.csc_matrix, ops: FineOperators) -> CoarseSystem:
     """Dense Galerkin blocks Psi_i^T X Psi_j for X in {mass, stiffness}.
 
-    The Gram of Psi = [Psi1, Psi2] is built by 16-column blocks of sparse
-    times dense products, which call no BLAS, so its bits do not depend on
-    the thread count. Diagonal blocks are symmetrized against round-off.
-    Raises RuntimeError unless the stacked mass Gram is numerically full rank.
+    Each block is built by 16-column blocks of sparse times dense products,
+    which call no BLAS, so its bits do not depend on the thread count; no
+    column depends on the others, so the bits do not depend on the blocking
+    either. Diagonal blocks are symmetrized against round-off. Raises
+    RuntimeError unless the stacked mass Gram is numerically full rank.
     """
-    d1 = psi1.shape[1]
-    psi = sp.hstack([psi1, psi2], format="csc")
+
+    def gram(x, right, *lefts):
+        """left^T x right for each left, by 16-column blocks of right."""
+        out = [np.empty((left.shape[1], right.shape[1])) for left in lefts]
+        for j in range(0, right.shape[1], 16):
+            y = x @ right[:, j : j + 16].toarray()
+            for o, left in zip(out, lefts):
+                o[:, j : j + 16] = left.T @ y
+        return out
 
     def blocks(x):
-        g = np.hstack([psi.T @ (x @ psi[:, j : j + 16].toarray()) for j in range(0, psi.shape[1], 16)])
-        b11, b12, b22 = g[:d1, :d1], g[:d1, d1:], g[d1:, d1:]
-        return (b11 + b11.T) / 2, b12.copy(), (b22 + b22.T) / 2
+        (b11,) = gram(x, psi1, psi1)
+        b12, b22 = gram(x, psi2, psi1, psi2)
+        return (b11 + b11.T) / 2, b12, (b22 + b22.T) / 2
 
     m11, m12, m22 = blocks(ops.M)
     a11, a12, a22 = blocks(ops.A)
@@ -367,6 +409,7 @@ def build_multiscale_space(ops: FineOperators, nb: int, layers: int) -> Multisca
     decomp = detect_continua(partition, ops.field)
     raw, residual = raw_bases(partition, decomp, ops)
     psi1, psi2, labels1, labels2 = split_spaces(raw, decomp, ops)
+    del raw  # the dense bases live on only in Psi1 and Psi2
     system = project_coarse(psi1, psi2, ops)
     return MultiscaleSpace(
         decomposition=decomp,

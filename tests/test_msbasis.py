@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from paradiff.fem import Channel, assemble_fine, build_fine_grid, generate_field
 from paradiff import msbasis
@@ -140,8 +141,11 @@ def test_nlmc_basis_constraints_delta_structure():
     part = build_coarse_partition(ops.grid, 4, layers=2)
     decomp = detect_continua(part, ops.field)
     kkt = saddle_matrix(ops, decomp)
+    raw = np.zeros((ops.grid.n_interior, decomp.block.size), order="F")
     for block in range(part.n_blocks):
-        nodes, psi, residual = build_nlmc_basis(part, decomp, kkt, block)
+        (residual,) = build_nlmc_basis(part, decomp, kkt, np.array([block]), raw)
+        nodes = part.patch_interior(block)
+        psi = raw[nodes][:, decomp.block == block]
         assert residual <= 1e-8
         for pos, comp in enumerate(decomp.component[decomp.block == block]):
             col = np.zeros(ops.grid.n_interior)
@@ -151,6 +155,61 @@ def test_nlmc_basis_constraints_delta_structure():
                     want = 1.0 if (j == block and comp_j == comp) else 0.0
                     got = cell_average(ops.grid, col, continuum_cells(decomp, j, comp_j))
                     assert abs(got - want) <= 1e-8, (block, j, comp_j)
+
+
+def counting_splu(monkeypatch):
+    """Replace msbasis.splu by a wrapper that records the size of every matrix it factors."""
+    sizes = []
+
+    def counted(a, **kwargs):
+        sizes.append(a.shape[0])
+        return splu(a, **kwargs)
+
+    monkeypatch.setattr(msbasis, "splu", counted)
+    return sizes
+
+
+def test_one_factorization_per_distinct_patch(monkeypatch):
+    # 4x4 blocks, two layers: the four inner blocks share the whole domain,
+    # the other edge blocks share their patch in pairs, the corners own theirs
+    ops = small_ops()
+    part = build_coarse_partition(ops.grid, 4, layers=2)
+    decomp = detect_continua(part, ops.field)
+    groups = {}
+    for b in range(part.n_blocks):
+        groups.setdefault(part.patch_rect(b), []).append(b)
+    assert sorted(len(g) for g in groups.values()) == [1, 1, 1, 1, 2, 2, 2, 2, 4]
+    sizes = counting_splu(monkeypatch)
+    raw, _ = raw_bases(part, decomp, ops)
+    assert len(sizes) == len(groups)
+    # each block's columns against a dense solve of its own patch system
+    kkt = saddle_matrix(ops, decomp)
+    for b in range(part.n_blocks):
+        nodes = part.patch_interior(b)
+        rows = np.flatnonzero(np.isin(decomp.block, part.patch_blocks(b)))
+        idx = np.concatenate([nodes, ops.grid.n_interior + rows])
+        own = np.flatnonzero(decomp.block[rows] == b)
+        rhs = np.zeros((idx.size, own.size))
+        rhs[nodes.size + own, np.arange(own.size)] = 1.0
+        want = np.zeros((ops.grid.n_interior, own.size))
+        want[nodes] = np.linalg.solve(kkt[idx][:, idx].toarray(), rhs)[: nodes.size]
+        got = raw[:, rows[own]]
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), b
+
+
+def test_whole_domain_basis_is_one_saddle_solve(monkeypatch):
+    # at layers = nb - 1 every patch is the whole domain: one factorization,
+    # and the bases are the saddle matrix's solution for [0; I]
+    ops = small_ops()
+    part = build_coarse_partition(ops.grid, 4, layers=3)
+    decomp = detect_continua(part, ops.field)
+    sizes = counting_splu(monkeypatch)
+    raw, _ = raw_bases(part, decomp, ops)
+    n, m = ops.grid.n_interior, decomp.block.size
+    assert sizes == [n + m]
+    rhs = np.vstack([np.zeros((n, m)), np.eye(m)])
+    want = np.linalg.solve(saddle_matrix(ops, decomp).toarray(), rhs)[:n]
+    assert np.abs(raw - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_nlmc_basis_supported_on_patch():
@@ -321,9 +380,9 @@ def test_high_constraint_residuals_share_one_warning(monkeypatch, caplog):
     decomp = detect_continua(partition, ops.field)
     solve = msbasis.build_nlmc_basis
 
-    def inflated(partition, decomp, kkt, block):
-        nodes, psi, _ = solve(partition, decomp, kkt, block)
-        return nodes, psi, {2: 1e-6, 5: 3e-6, 9: 2e-6}.get(block, 0.0)
+    def inflated(partition, decomp, kkt, blocks, raw):
+        solve(partition, decomp, kkt, blocks, raw)
+        return np.array([{2: 1e-6, 5: 3e-6, 9: 2e-6}.get(block, 0.0) for block in blocks])
 
     monkeypatch.setattr(msbasis, "build_nlmc_basis", inflated)
     with caplog.at_level(logging.WARNING, logger="paradiff"):

@@ -46,6 +46,7 @@ from scipy import fft
 
 from .msbasis import CoarseSystem
 from .stepping import SplitPropagators
+from .util import exact_scale
 
 
 @dataclass(frozen=True)
@@ -141,17 +142,19 @@ def build_rhs(
 
 
 def _max_row_norm(x: np.ndarray) -> float:
-    """Largest Euclidean norm over the rows of x, 0 for zero columns."""
-    return float(np.sqrt((x * x).sum(axis=1).max()))
+    """Largest Euclidean norm over the rows of x, 0 for zero columns; x is
+    scaled exactly first, so a finite x gives a finite norm."""
+    scale = exact_scale(x)
+    return float(scale * np.sqrt(np.square(x / scale).sum(axis=1).max()))
 
 
 def _stop_reason(r: float, before: float, tol: float) -> str | None:
     """Why the solve stops at the true residual r, or None: "tol", else,
-    unless the cycle since the true residual `before` cut it 10-fold,
-    "floor" within 1e3*tol and "diverged" beyond."""
+    unless the cycle since the true residual `before` cut a finite r
+    10-fold, "floor" within 1e3*tol and "diverged" beyond."""
     if r <= tol:
         return "tol"
-    if 10.0 * r <= before:
+    if 10.0 * r <= before and np.isfinite(r):
         return None
     return "floor" if r <= 1e3 * tol else "diverged"
 
@@ -161,7 +164,7 @@ def _gmres_cycle(apply, x, r0, steps, scale, tol, residuals) -> np.ndarray:
     r0 the residual at x. Each product appends scale times the least-squares
     residual relative to |r0|, which is 1/|xi| for the left null vector xi of
     the Hessenberg matrix with xi_0 = 1. Ends early at tol or on breakdown."""
-    beta = np.linalg.norm(r0)
+    beta = exact_scale(r0) * np.linalg.norm(r0 / exact_scale(r0))
     basis = np.zeros((steps + 1, r0.size))
     hess = np.zeros((steps + 1, steps))
     xi = np.zeros(steps + 1)

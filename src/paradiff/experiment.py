@@ -37,7 +37,7 @@ from .fem import (
     node_values_on_grid,
     reference_solve,
 )
-from .msbasis import MultiscaleSpace, build_multiscale_space, project_load, subspace_angle
+from .msbasis import CoarsePartition, MultiscaleSpace, build_multiscale_space, project_load, subspace_angle
 from .parareal import FineSolveError, ParerealRun, build_fine_propagator, run_parareal
 from .stepping import ConstantLoads, SplitPropagators, TimeGrid, project_initial
 from .util import save_matrix_txt, write_csv
@@ -129,50 +129,16 @@ class ExperimentConfig:
     export_solution: bool = _option("output", "export_solution", _BOOL, default=True)
 
     def validate(self) -> "ExperimentConfig":
-        """Raise ConfigError unless every field is finite and in range; the
-        comparisons are written so that NaN fails them."""
-        for name in ("background", "contrast", "source_amplitude", "t_end", "epsilon"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        if not (self.nx >= 2 and self.blocks >= 1):
-            raise ConfigError(f"need nx >= 2 and blocks >= 1, got nx={self.nx} blocks={self.blocks}")
-        if self.nx % self.blocks != 0:
-            raise ConfigError(f"blocks={self.blocks} must divide nx={self.nx}")
-        if not self.layers >= 0:
-            raise ConfigError(f"layers must be >= 0, got {self.layers}")
-        if not (self.background > 0 and self.contrast >= 1):
-            raise ConfigError(
-                f"need background > 0 and contrast >= 1, got {self.background} and {self.contrast}"
-            )
-        if not self.t_end > 0:
-            raise ConfigError(f"t_end must be > 0, got {self.t_end}")
+        """Raise ConfigError unless every field is in range. The grid,
+        partition, field, source and time grid check their own inputs, so
+        this builds each and re-raises its error; the rules below are the
+        ones no type owns. The comparisons are written so that NaN fails them."""
         if not 0 < self.alpha < 1:
             raise ConfigError(f"alpha must lie in (0,1), got {self.alpha}")
-        if not self.epsilon >= 0:
-            raise ConfigError(f"epsilon must be >= 0, got {self.epsilon}")
+        if not 0 <= self.epsilon < math.inf:
+            raise ConfigError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if self.fine_kind not in ("all-at-once", "sequential"):
             raise ConfigError(f"unknown fine_kind {self.fine_kind!r}")
-        for c in self.channels:
-            if len(c) != 4:
-                raise ConfigError(f"channel needs four bounds i0:i1, j0:j1, got {c}")
-            x0, x1, y0, y1 = c
-            if not (0 <= x0 < x1 <= self.nx and 0 <= y0 < y1 <= self.nx):
-                raise ConfigError(f"channel {c} exceeds grid bounds {self.nx}x{self.nx}")
-        if self.source_kind not in ("constant", "box", "point"):
-            raise ConfigError(f"unknown source kind {self.source_kind!r}")
-        if self.source_kind != "constant" and self.source_region is None:
-            raise ConfigError(f"source kind {self.source_kind!r} needs a region")
-        if self.source_kind == "constant" and self.source_region is not None:
-            raise ConfigError(f"a constant source takes no region, got {self.source_region}")
-        r = self.source_region
-        if self.source_kind == "box" and not (
-            len(r) == 4 and 0 <= r[0] < r[1] <= 1 and 0 <= r[2] < r[3] <= 1
-        ):
-            raise ConfigError(f"box source region {r} must be x0:x1, y0:y1 ordered inside [0,1]^2")
-        if self.source_kind == "point" and not (
-            len(r) == 2 and 0 <= r[0] < self.nx and 0 <= r[1] < self.nx
-        ):
-            raise ConfigError(f"point source cell {r} must be cx, cy inside the {self.nx}x{self.nx} grid")
         if not self.n_values:
             raise ConfigError("n_values is empty")
         if len(set(self.n_values)) != len(self.n_values):
@@ -181,8 +147,16 @@ class ExperimentConfig:
             raise ConfigError(
                 f"need every N >= 1 and substeps >= 0, got {self.n_values} and {self.substeps}"
             )
+        try:
+            grid = FineGrid(self.nx)
+            CoarsePartition(grid, self.blocks, self.layers)
+            generate_field(grid, self.background, self.contrast, self.to_channels())
+            cells = self.to_source().cell_values(grid)
+            self.time_grid(self.n_values[0])
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(str(exc)) from exc
         # zero data and a zero load solve to zero, which every check passes
-        if not self.to_source().cell_values(FineGrid(self.nx)).any():
+        if not cells.any():
             raise ConfigError("the source is zero on every cell: amplitude 0 or a box with no cell center")
         return self
 
@@ -190,6 +164,9 @@ class ExperimentConfig:
         return SourceSpec(self.source_kind, self.source_amplitude, self.source_region)
 
     def to_channels(self) -> list[Channel]:
+        for c in self.channels:
+            if len(c) != 4:
+                raise ValueError(f"channel needs four bounds i0:i1, j0:j1, got {c}")
         return [Channel(*c) for c in self.channels]
 
     def time_grid(self, n: int) -> TimeGrid:

@@ -54,7 +54,7 @@ class FineGrid:
 
     def __post_init__(self):
         if self.nx < 2:
-            raise ValueError("need at least 2 cells per axis for interior nodes")
+            raise ValueError(f"need nx >= 2 cells per axis for interior nodes, got nx={self.nx}")
         self.h = 1.0 / self.nx
         i = np.arange(1, self.nx)
         self.interior = (i[:, None] * (self.nx + 1) + i[None, :]).ravel()
@@ -119,7 +119,8 @@ class PermeabilityField:
 
     kappa is flat over cells (row-major). A cell counts as channel when its
     coefficient exceeds the geometric mean of the field's min and max, which
-    for a two-valued field equals background*sqrt(contrast).
+    for a two-valued field equals background*sqrt(contrast); it is the
+    product of the square roots, so a finite field cannot overflow it.
     """
 
     grid: FineGrid
@@ -127,7 +128,7 @@ class PermeabilityField:
 
     @property
     def threshold(self) -> float:
-        return float(np.sqrt(self.kappa.min() * self.kappa.max()))
+        return float(np.sqrt(self.kappa.min()) * np.sqrt(self.kappa.max()))
 
     @property
     def channel_mask(self) -> np.ndarray:
@@ -145,8 +146,8 @@ def generate_field(
     channels: list[Channel] | None = None,
 ) -> PermeabilityField:
     """Two-valued coefficient: background everywhere, background*contrast on channels."""
-    if background <= 0 or contrast < 1.0:
-        raise ValueError("need background > 0 and contrast >= 1")
+    if not (0 < background < np.inf and 1 <= contrast < np.inf):
+        raise ValueError(f"need finite background > 0 and contrast >= 1, got {background} and {contrast}")
     kappa = np.full(grid.n_cells, background, dtype=float)
     for ch in channels or []:
         kappa[ch.cell_mask(grid)] = background * contrast
@@ -159,12 +160,28 @@ class SourceSpec:
 
     kind "constant" fills the domain, "box" fills cells whose centers fall in
     region = (x0, x1, y0, y1) in domain coordinates, "point" marks the single
-    cell region = (cx, cy) in cell indices.
+    cell region = (cx, cy) in cell indices. Construction checks everything
+    but the point cell's grid bounds, which cell_values checks.
     """
 
     kind: str = "constant"
     amplitude: float = 1.0
     region: tuple | None = None
+
+    def __post_init__(self):
+        r = self.region
+        if self.kind not in ("constant", "box", "point"):
+            raise ValueError(f"unknown source kind {self.kind!r}")
+        if not np.isfinite(self.amplitude):
+            raise ValueError(f"source amplitude must be finite, got {self.amplitude}")
+        if self.kind == "constant" and r is not None:
+            raise ValueError(f"a constant source takes no region, got {r}")
+        if self.kind != "constant" and r is None:
+            raise ValueError(f"source kind {self.kind!r} needs a region")
+        if self.kind == "box" and not (len(r) == 4 and 0 <= r[0] < r[1] <= 1 and 0 <= r[2] < r[3] <= 1):
+            raise ValueError(f"box source region {r} must be x0:x1, y0:y1 ordered inside [0,1]^2")
+        if self.kind == "point" and not (len(r) == 2 and all(isinstance(v, (int, np.integer)) for v in r)):
+            raise ValueError(f"point source cell {r} must be two cell indices cx, cy")
 
     def cell_values(self, grid: FineGrid) -> np.ndarray:
         if self.kind == "constant":
@@ -174,14 +191,12 @@ class SourceSpec:
             c = grid.cell_centers()
             inside = (c[:, 0] >= x0) & (c[:, 0] < x1) & (c[:, 1] >= y0) & (c[:, 1] < y1)
             return np.where(inside, self.amplitude, 0.0)
-        if self.kind == "point":
-            cx, cy = self.region
-            if not (0 <= cx < grid.nx and 0 <= cy < grid.nx):
-                raise ValueError(f"point source cell {self.region} outside grid")
-            vals = np.zeros(grid.n_cells)
-            vals[cy * grid.nx + cx] = self.amplitude
-            return vals
-        raise ValueError(f"unknown source kind {self.kind!r}")
+        cx, cy = self.region
+        if not (0 <= cx < grid.nx and 0 <= cy < grid.nx):
+            raise ValueError(f"point source cell {self.region} outside the {grid.nx}x{grid.nx} grid")
+        vals = np.zeros(grid.n_cells)
+        vals[cy * grid.nx + cx] = self.amplitude
+        return vals
 
 
 def _assemble(grid: FineGrid, cell_data: np.ndarray, ref: np.ndarray) -> sp.csr_matrix:

@@ -50,10 +50,10 @@ class CoarsePartition:
     layers: int
 
     def __post_init__(self):
-        if self.grid.nx % self.nb != 0:
-            raise ValueError(f"{self.nb} blocks do not divide {self.grid.nx} cells")
-        if self.layers < 0:
-            raise ValueError("layers must be >= 0")
+        if not (self.nb >= 1 and self.grid.nx % self.nb == 0):
+            raise ValueError(f"blocks={self.nb} must be >= 1 and divide nx={self.grid.nx}")
+        if not self.layers >= 0:
+            raise ValueError(f"layers must be >= 0, got {self.layers}")
 
     @property
     def n_blocks(self) -> int:

@@ -57,8 +57,8 @@ class TimeGrid:
     substeps: int
 
     def __post_init__(self):
-        if not (self.t_end > 0 and self.n_intervals >= 1 and self.substeps >= 1):
-            raise ValueError("need t_end > 0, n_intervals >= 1, substeps >= 1")
+        if not (0 < self.t_end < np.inf and self.n_intervals >= 1 and self.substeps >= 1):
+            raise ValueError(f"need finite t_end > 0, n_intervals >= 1 and substeps >= 1, got {self}")
 
     @property
     def dt(self) -> float:

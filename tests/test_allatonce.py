@@ -8,6 +8,8 @@ from paradiff.allatonce import (
     ImplicitAllAtOnce,
     TimeMatrixB,
     WaveformRelaxation,
+    _max_row_norm,
+    _stop_reason,
     build_rhs,
 )
 from paradiff.experiment import build_pipeline, check_config, load_config
@@ -38,6 +40,12 @@ def test_time_matrix_validation():
     for alpha in (0.0, 1.0, 1.5):
         with pytest.raises(ValueError):
             TimeMatrixB(4, 0.1, alpha)
+
+
+def test_residual_norm_is_finite_and_an_infinite_residual_diverges():
+    assert _max_row_norm(np.array([[3e200, 4e200], [0.0, 1.0]])) == pytest.approx(5e200, rel=1e-15)
+    assert _stop_reason(np.inf, np.inf, 1e-14) == "diverged"
+    assert _stop_reason(1.0, np.inf, 1e-14) is None
 
 
 def test_time_matrix_rejects_nan():

@@ -317,6 +317,40 @@ def test_huge_source_amplitude_keeps_the_reference_finite():
     assert errors[1] == pytest.approx(errors[0], rel=1e-12)
 
 
+def test_huge_source_fails_the_all_at_once_kind_with_a_stage_tag():
+    """WR's tolerance is absolute, so at amplitude 1e200 it cannot converge;
+    its residual norms stay finite and the run fails at the fine stage."""
+    cfg = replace(check_config(), source_amplitude=1e200, compute_reference=False, export_solution=False)
+    with pytest.raises(ExperimentError) as err:
+        run_single(build_pipeline(cfg), 8)
+    assert err.value.stage == "fine N=8"
+
+
+@pytest.mark.parametrize(
+    "overrides, value",
+    [
+        (dict(nx=1), "nx=1"),
+        (dict(blocks=0), "blocks=0"),
+        (dict(nx=10, blocks=3), "blocks=3"),
+        (dict(layers=-2), "-2"),
+        (dict(background=float("nan")), "nan"),
+        (dict(contrast=float("inf")), "inf"),
+        (dict(channels=[(1, 2)]), "(1, 2)"),
+        (dict(channels=[(5, 95, 44, 46)], nx=40, blocks=4), "44"),
+        (dict(source_kind="laser"), "laser"),
+        (dict(source_amplitude=float("-inf")), "-inf"),
+        (dict(source_kind="box", source_region=(0.7, 0.3, 0.3, 0.7)), "(0.7, 0.3, 0.3, 0.7)"),
+        (dict(source_kind="point", source_region=(40, 3), nx=40, blocks=4), "(40, 3)"),
+        (dict(t_end=float("inf")), "inf"),
+        (dict(epsilon=float("nan")), "nan"),
+    ],
+)
+def test_config_error_names_the_offending_value(overrides, value):
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(**overrides).validate()
+    assert value in str(err.value)
+
+
 def test_wr_residuals_label_each_solve_with_its_interval(tmp_path):
     """Iteration k solves intervals k-1..N-1, and the CSV names them so."""
     n = 3

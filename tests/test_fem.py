@@ -6,6 +6,7 @@ from paradiff.fem import (
     MASS_REF,
     STIFF_REF,
     Channel,
+    PermeabilityField,
     SourceSpec,
     assemble_fine,
     assemble_load,
@@ -111,7 +112,40 @@ def test_field_validation():
     with pytest.raises(ValueError):
         generate_field(grid, 1.0, 0.5)
     with pytest.raises(ValueError):
+        generate_field(grid, float("nan"), float("nan"))
+    with pytest.raises(ValueError):
+        generate_field(grid, 1.0, float("inf"))
+    with pytest.raises(ValueError):
         Channel(0, 5, 0, 2).cell_mask(grid)
+
+
+def test_channel_threshold_does_not_overflow():
+    """min * max overflows at 10 * 1e308; the geometric mean does not."""
+    field = PermeabilityField(build_fine_grid(2), np.array([10.0, 1e308, 10.0, 10.0]))
+    assert field.threshold == np.sqrt(10.0) * 1e154
+    assert field.channel_mask.tolist() == [False, True, False, False]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: SourceSpec("box", 1.0, (0.7, 0.3, 0.3, 0.7)),
+        lambda: SourceSpec("constant", 1.0, (0.1, 0.2, 0.1, 0.2)),
+        lambda: SourceSpec("box", 1.0, None).cell_values(build_fine_grid(4)),
+        lambda: SourceSpec("ramp", 1.0),
+        lambda: SourceSpec("constant", float("inf")),
+        lambda: SourceSpec("point", 1.0, (0.5, 2)),
+    ],
+    ids=[
+        "unordered-box", "constant-with-region", "box-without-region", "unknown-kind",
+        "infinite-amplitude", "fractional-point-cell",
+    ],
+)
+def test_bad_source_is_a_value_error(make):
+    """The source rules hold at construction, before any grid is seen; the
+    unordered box would load nothing and the constant one ignore its region."""
+    with pytest.raises(ValueError):
+        make()
 
 
 def test_grid_validation():

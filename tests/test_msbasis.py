@@ -72,6 +72,10 @@ def test_partition_validation():
         build_coarse_partition(grid, 3, layers=1)
     with pytest.raises(ValueError):
         build_coarse_partition(grid, 5, layers=-1)
+    with pytest.raises(ValueError):  # cells_per_block would be -10
+        build_coarse_partition(grid, -1, layers=1)
+    with pytest.raises(ValueError):  # not a ZeroDivisionError
+        build_coarse_partition(grid, 0, layers=1)
 
 
 def test_detect_continua_hand_case():

@@ -54,7 +54,7 @@ def test_time_grid_arithmetic():
     tg = TimeGrid(0.005, 10, 20)
     assert np.isclose(tg.dt, 5e-4)
     assert np.isclose(tg.dt_sub, 2.5e-5)
-    for bad in [(0.0, 1, 1), (1.0, 0, 1), (1.0, 1, 0)]:
+    for bad in [(0.0, 1, 1), (1.0, 0, 1), (1.0, 1, 0), (float("inf"), 4, 4)]:
         with pytest.raises(ValueError):
             TimeGrid(*bad)
 

@@ -46,7 +46,7 @@ from scipy import fft
 
 from .msbasis import CoarseSystem
 from .stepping import SplitPropagators
-from .util import exact_scale
+from .util import scaled_norm
 
 
 @dataclass(frozen=True)
@@ -141,13 +141,6 @@ def build_rhs(
     return rhs
 
 
-def _max_row_norm(x: np.ndarray) -> float:
-    """Largest Euclidean norm over the rows of x, 0 for zero columns; x is
-    scaled exactly first, so a finite x gives a finite norm."""
-    scale = exact_scale(x)
-    return float(scale * np.sqrt(np.square(x / scale).sum(axis=1).max()))
-
-
 def _stop_reason(r: float, before: float, tol: float) -> str | None:
     """Why the solve stops at the true residual r, or None: "tol", else,
     unless the cycle since the true residual `before` cut a finite r
@@ -164,7 +157,7 @@ def _gmres_cycle(apply, x, r0, steps, scale, tol, residuals) -> np.ndarray:
     r0 the residual at x. Each product appends scale times the least-squares
     residual relative to |r0|, which is 1/|xi| for the left null vector xi of
     the Hessenberg matrix with xi_0 = 1. Ends early at tol or on breakdown."""
-    beta = exact_scale(r0) * np.linalg.norm(r0 / exact_scale(r0))
+    beta = scaled_norm(r0)
     basis = np.zeros((steps + 1, r0.size))
     hess = np.zeros((steps + 1, steps))
     xi = np.zeros(steps + 1)
@@ -271,7 +264,8 @@ class WaveformRelaxation:
         while True:
             u_new = self._u_rows(x, z, start)
             z_new = self._z_rows(u_new, start)
-            residuals.append(_max_row_norm(u_new - x) + _max_row_norm((z_new - z) @ props.modes.T))
+            du = float(scaled_norm(u_new - x, axis=1).max())
+            residuals.append(du + float(scaled_norm((z_new - z) @ props.modes.T, axis=1).max()))
             reason = _stop_reason(residuals[-1], before, self.tol)
             if reason:
                 break

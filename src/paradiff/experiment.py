@@ -358,15 +358,15 @@ class ExperimentReport:
 def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
     """Execute every configured N and write all artifacts under out_dir.
 
-    A bad config raises ConfigError before out_dir is made. Any stage
-    failure removes the files written so far and re-raises with a stage tag.
+    A bad config raises ConfigError, and a basis failure its ExperimentError,
+    before out_dir is made. Any later stage failure removes the files
+    written so far and re-raises with a stage tag.
     """
-    cfg.validate()
+    pipe = build_pipeline(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     try:
-        pipe = build_pipeline(cfg)
         results = []
         for n in cfg.n_values:
             try:

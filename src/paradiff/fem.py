@@ -119,8 +119,9 @@ class PermeabilityField:
 
     kappa is flat over cells (row-major). A cell counts as channel when its
     coefficient exceeds the geometric mean of the field's min and max, which
-    for a two-valued field equals background*sqrt(contrast); it is the
-    product of the square roots, so a finite field cannot overflow it.
+    for a two-valued field equals background*sqrt(contrast). Taken of the
+    exactly scaled min and max, it cannot overflow, and a one-valued field
+    gets its own value back, which no cell exceeds.
     """
 
     grid: FineGrid
@@ -128,7 +129,8 @@ class PermeabilityField:
 
     @property
     def threshold(self) -> float:
-        return float(np.sqrt(self.kappa.min()) * np.sqrt(self.kappa.max()))
+        s = exact_scale(self.kappa)
+        return float(s * np.sqrt((self.kappa.min() / s) * (self.kappa.max() / s)))
 
     @property
     def channel_mask(self) -> np.ndarray:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .allatonce import WaveformRelaxation
 from .stepping import SplitPropagators, TimeGrid
-from .util import exact_scale
+from .util import scaled_norm
 
 
 class SequentialFine:
@@ -119,9 +119,7 @@ class ParerealRun:
 
 def max_state_diff(prev: np.ndarray, new: np.ndarray) -> float:
     """Largest Euclidean update over interval endpoints n = 1..N, scaled exactly so nothing overflows."""
-    d = new[1:] - prev[1:]
-    scale = exact_scale(d)
-    return float(scale * np.linalg.norm(d / scale, axis=1).max())
+    return float(scaled_norm(new[1:] - prev[1:], axis=1).max())
 
 
 def check_stop(prev: np.ndarray, new: np.ndarray, epsilon: float) -> tuple[float, bool]:

@@ -9,8 +9,16 @@ import numpy as np
 
 
 def exact_scale(v) -> float:
-    """The power of two above max|v|, 1 for a zero v: division by it is exact and leaves |entries| < 1."""
-    return float(np.ldexp(1.0, np.frexp(np.abs(v).max(initial=0.0))[1]))
+    """The power of two above max|v| up to 2**1023, 1 for a zero v: division by it is exact, |entries| < 2."""
+    return float(np.ldexp(1.0, min(np.frexp(np.abs(v).max(initial=0.0))[1], 1023)))
+
+
+def scaled_norm(v, axis=None):
+    """Euclidean norm of v, over `axis` or of all of v, with v scaled by
+    exact_scale first: nothing overflows below the largest float, and the
+    result is inf only where the norm itself exceeds it."""
+    scale = exact_scale(v)
+    return scale * np.linalg.norm(v / scale, axis=axis)
 
 
 def save_matrix_txt(path, array) -> None:

@@ -8,7 +8,6 @@ from paradiff.allatonce import (
     ImplicitAllAtOnce,
     TimeMatrixB,
     WaveformRelaxation,
-    _max_row_norm,
     _stop_reason,
     build_rhs,
 )
@@ -16,6 +15,7 @@ from paradiff.experiment import build_pipeline, check_config, load_config
 from paradiff.msbasis import CoarseSystem
 from paradiff.parareal import build_fine_propagator
 from paradiff.stepping import ConstantLoads, SplitPropagators, SplitState, project_initial
+from paradiff.util import scaled_norm
 
 
 def test_time_matrix_dense_structure():
@@ -43,7 +43,12 @@ def test_time_matrix_validation():
 
 
 def test_residual_norm_is_finite_and_an_infinite_residual_diverges():
-    assert _max_row_norm(np.array([[3e200, 4e200], [0.0, 1.0]])) == pytest.approx(5e200, rel=1e-15)
+    assert scaled_norm(np.array([[3e200, 4e200], [0.0, 1.0]]), axis=1).max() == pytest.approx(5e200, rel=1e-15)
+    # entries above 2**1023: the scale stays finite, and so does a norm below the largest float
+    assert scaled_norm(np.array([[1e308, 1e308], [0.0, 1.0]]), axis=1).max() == pytest.approx(
+        np.sqrt(2.0) * 1e308, rel=1e-15
+    )
+    assert scaled_norm(np.array([1.7e308, 0.0])) == 1.7e308
     assert _stop_reason(np.inf, np.inf, 1e-14) == "diverged"
     assert _stop_reason(1.0, np.inf, 1e-14) is None
 

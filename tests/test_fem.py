@@ -122,8 +122,17 @@ def test_field_validation():
 def test_channel_threshold_does_not_overflow():
     """min * max overflows at 10 * 1e308; the geometric mean does not."""
     field = PermeabilityField(build_fine_grid(2), np.array([10.0, 1e308, 10.0, 10.0]))
-    assert field.threshold == np.sqrt(10.0) * 1e154
+    assert field.threshold == pytest.approx(np.sqrt(10.0) * 1e154, rel=1e-15)
     assert field.channel_mask.tolist() == [False, True, False, False]
+
+
+@pytest.mark.parametrize("background", [1.0, 2.0, 3.0, 6.0, 0.1, 1e308])
+def test_one_valued_field_has_no_channel(background):
+    """The threshold of a one-valued field is its value, so no cell exceeds
+    it; sqrt(3) * sqrt(3) would round below 3 and mark every cell."""
+    field = generate_field(build_fine_grid(4), background, 1.0, [Channel(1, 3, 1, 3)])
+    assert field.threshold == background
+    assert not field.channel_mask.any()
 
 
 @pytest.mark.parametrize(

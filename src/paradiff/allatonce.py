@@ -66,8 +66,7 @@ class TimeMatrixB:
     def dense(self) -> np.ndarray:
         m = self.substeps
         b = np.eye(m)
-        if m > 1:
-            b[np.arange(1, m), np.arange(m - 1)] = -1.0
+        b[np.arange(1, m), np.arange(m - 1)] = -1.0
         b[0, m - 1] -= self.alpha
         return b / self.dt
 

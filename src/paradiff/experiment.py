@@ -284,18 +284,21 @@ class Pipeline:
 
 
 def build_pipeline(cfg: ExperimentConfig) -> Pipeline:
-    cfg.validate()  # rules out every ValueError of the grid, field and assembly
-    grid = build_fine_grid(cfg.nx)
-    ops = assemble_fine(grid, generate_field(grid, cfg.background, cfg.contrast, cfg.to_channels()))
+    """Validate cfg and build what its runs share. Raises ConfigError for a
+    bad config and ExperimentError("basis") for any failure after it."""
+    cfg.validate()
     try:
+        grid = build_fine_grid(cfg.nx)
+        ops = assemble_fine(grid, generate_field(grid, cfg.background, cfg.contrast, cfg.to_channels()))
         space = build_multiscale_space(ops, cfg.blocks, cfg.layers)
-    except RuntimeError as exc:
+        loads = ConstantLoads(*project_load(space, ops.load(cfg.to_source())))
+        propagators = SplitPropagators(space.system, loads)
+        initial = project_initial(np.zeros(grid.n_interior), space, ops).stacked()
+        gamma = subspace_angle(space.system)
+    except (RuntimeError, ValueError) as exc:  # numpy's LinAlgError is a ValueError
         raise ExperimentError("basis", str(exc)) from exc
-    loads = ConstantLoads(*project_load(space, ops.load(cfg.to_source())))
-    propagators = SplitPropagators(space.system, loads)
-    initial = project_initial(np.zeros(grid.n_interior), space, ops).stacked()
     initial.flags.writeable = False  # every run starts from this one row
-    return Pipeline(cfg, grid, ops, space, loads, subspace_angle(space.system), propagators, initial)
+    return Pipeline(cfg, grid, ops, space, loads, gamma, propagators, initial)
 
 
 @dataclass
@@ -318,6 +321,9 @@ def relative_error(ops: FineOperators, fine_final: np.ndarray, coarse_final: np.
 
 
 def run_single(pipe: Pipeline, n: int) -> RunResult:
+    """Parareal at N = n, with its error against the fine reference if the
+    config asks. Raises only ExperimentError, tagged "stability N=<n>",
+    "fine N=<n>", "reference N=<n>" or, for any other failure, "run N=<n>"."""
     cfg = pipe.config
     tg = cfg.time_grid(n)
     bound = pipe.propagators.stability_max_step()
@@ -326,26 +332,26 @@ def run_single(pipe: Pipeline, n: int) -> RunResult:
             f"stability N={n}",
             f"substep {tg.dt_sub:.3e} exceeds the explicit stability bound {bound:.3e}",
         )
-    fine = build_fine_propagator(cfg.fine_kind, pipe.propagators, tg, cfg.alpha, cfg.epsilon)
     try:
+        fine = build_fine_propagator(cfg.fine_kind, pipe.propagators, tg, cfg.alpha, cfg.epsilon)
         run = run_parareal(pipe.propagators, fine, pipe.initial, tg, cfg.epsilon)
-    except FineSolveError as exc:
-        raise ExperimentError(f"fine N={n}", f"waveform relaxation: {exc}") from exc
-
-    ref_final, err, series = None, float("nan"), []
-    if cfg.compute_reference:
-        try:
+        ref_final, err, series = None, float("nan"), []
+        if cfg.compute_reference:
             _, states = reference_solve(
                 pipe.ops, cfg.to_source(), cfg.t_end, tg.n_intervals * tg.substeps,
                 keep_trajectory=False,
             )
-        except ReferenceSolveError as exc:
-            raise ExperimentError(f"reference N={n}", f"did not settle: {exc}") from exc
-        ref_final = states[-1]
-        for k in range(len(run.history)):
-            u, w = run.endpoint(k)
-            series.append(relative_error(pipe.ops, ref_final, pipe.space.reconstruct(u, w)))
-        err = series[-1]
+            ref_final = states[-1]
+            for k in range(len(run.history)):
+                u, w = run.endpoint(k)
+                series.append(relative_error(pipe.ops, ref_final, pipe.space.reconstruct(u, w)))
+            err = series[-1]
+    except FineSolveError as exc:
+        raise ExperimentError(f"fine N={n}", f"waveform relaxation: {exc}") from exc
+    except ReferenceSolveError as exc:
+        raise ExperimentError(f"reference N={n}", f"did not settle: {exc}") from exc
+    except (RuntimeError, ValueError) as exc:
+        raise ExperimentError(f"run N={n}", str(exc)) from exc
     return RunResult(n, run, err, series, ref_final, bound, tg.dt_sub)
 
 
@@ -356,34 +362,22 @@ class ExperimentReport:
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
-    """Execute every configured N and write all artifacts under out_dir.
-
-    A bad config raises ConfigError, and a basis failure its ExperimentError,
-    before out_dir is made. Any later stage failure removes the files
-    written so far and re-raises with a stage tag.
-    """
+    """Execute every configured N, then write all artifacts under out_dir,
+    made before the runs so that a bad path fails at once. Raises what
+    build_pipeline and run_single raise, and ExperimentError("emit") once a
+    failed write has removed the files written so far."""
     pipe = build_pipeline(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    results = [run_single(pipe, n) for n in cfg.n_values]
     written: list[Path] = []
     try:
-        results = []
-        for n in cfg.n_values:
-            try:
-                results.append(run_single(pipe, n))
-            except ExperimentError:
-                raise
-            except (ValueError, np.linalg.LinAlgError, RuntimeError) as exc:
-                raise ExperimentError(f"run N={n}", str(exc)) from exc
-        try:
-            _emit_all(cfg, pipe, results, out, written)
-        except OSError as exc:
-            raise ExperimentError("emit", str(exc)) from exc
-        return ExperimentReport(results, written)
-    except ExperimentError:
+        _emit_all(cfg, pipe, results, out, written)
+    except OSError as exc:
         for p in written:
             p.unlink(missing_ok=True)
-        raise
+        raise ExperimentError("emit", str(exc)) from exc
+    return ExperimentReport(results, written)
 
 
 def _emit_all(cfg, pipe, results, out: Path, written: list[Path]) -> None:

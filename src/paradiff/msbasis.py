@@ -390,17 +390,14 @@ def subspace_angle(system: CoarseSystem) -> float:
     """gamma: largest cosine between V_H1 and V_H2 in the fine mass product.
 
     Computed as the top singular value of L1^{-1} M12 L2^{-T} with M11 =
-    L1 L1^T and M22 = L2 L2^T. Returns 0 for an empty V_H1 (logged), since
-    the splitting then has no cross coupling at all.
+    L1 L1^T and M22 = L2 L2^T. An empty V_H1 or V_H2 gives 0, since the
+    splitting then has no cross coupling at all.
     """
-    if system.d1 == 0:
-        log.info("gamma requested with d1 = 0; returning 0")
-        return 0.0
     l1 = sla.cholesky(system.M11, lower=True)
     l2 = sla.cholesky(system.M22, lower=True)
     x = sla.solve_triangular(l1, system.M12, lower=True)
     y = sla.solve_triangular(l2, x.T, lower=True).T
-    return float(sla.svdvals(y)[0])
+    return float(sla.svdvals(y).max(initial=0.0))
 
 
 def build_multiscale_space(ops: FineOperators, nb: int, layers: int) -> MultiscaleSpace:

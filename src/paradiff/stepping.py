@@ -3,7 +3,7 @@
 The coefficient pair (u, w) in V_H1 x V_H2 advances by a two-step scheme:
 u is implicit in its own stiffness block while all w coupling lags behind
 explicitly, then w advances explicitly in the eigenbasis of the pencil
-(A22, M22) (`w_modes`). With w = V z, A22 V = M22 V diag(lam) and
+(A22, M22). With w = V z, A22 V = M22 V diag(lam) and
 V^T M22 V = I, the w-step needs no solve: z <- (1 - dt lam) z + h, mode by
 mode, with h the modal load and u coupling. The u-equation uses the
 backward difference of w from the two previous levels and vice versa, so
@@ -77,17 +77,6 @@ class ConstantLoads:
         self.f2 = np.asarray(f2, dtype=float)
 
 
-def w_modes(system: CoarseSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs (lam, V) of the pencil (A22, M22), lam ascending.
-
-    A22 V = M22 V diag(lam) and V^T M22 V = I, so the explicit w-step
-    decouples per mode and is stable for dt <= 2 / lam[-1].
-    """
-    if system.d2 == 0:
-        return np.zeros(0), np.zeros((0, 0))
-    return eigh(system.A22, system.M22)
-
-
 @dataclass
 class SplitTrajectory:
     """The end state of `fine_interval`; `final` is all bench/harness.py reads."""
@@ -109,7 +98,7 @@ class SplitPropagators:
     def __init__(self, system: CoarseSystem, loads: ConstantLoads):
         self.system = system
         self.loads = loads
-        self.lam, self.modes = w_modes(system)
+        self.lam, self.modes = eigh(system.A22, system.M22)
         self.m12_modes = system.M12 @ self.modes
         self.a12_modes = system.A12 @ self.modes
         self.m12_modes_t = np.ascontiguousarray(self.m12_modes.T)
@@ -141,12 +130,8 @@ class SplitPropagators:
         applied as u_new = u P^T - (z - z_prev) Q^T - z R^T + p (`_u_map`), then
         z_new = (1 - dt lam) z + dt (f2 V - u_new A12 V) - (u - u_prev) M12 V.
         """
-        # without channels there is no u, and K would be 0 x 0
-        if self.system.d1:
-            Pt, Qt, Rt, p = self._u_map(dt)
-            u_new = u @ Pt - (z - z_prev) @ Qt - z @ Rt + p
-        else:
-            u_new = u
+        Pt, Qt, Rt, p = self._u_map(dt)
+        u_new = u @ Pt - (z - z_prev) @ Qt - z @ Rt + p
         z_new = (
             (1.0 - dt * self.lam) * z
             + dt * (self.f2_modes - u_new @ self.a12_modes)
@@ -202,6 +187,6 @@ def project_initial(u0_fine: np.ndarray, space: MultiscaleSpace, ops: FineOperat
     """
     s = space.system
     mu0 = ops.M @ np.asarray(u0_fine, dtype=float)
-    u = np.linalg.solve(s.M11, space.Psi1.T @ mu0) if s.d1 else np.zeros(0)
-    w = np.linalg.solve(s.M22, space.Psi2.T @ mu0) if s.d2 else np.zeros(0)
+    u = np.linalg.solve(s.M11, space.Psi1.T @ mu0)
+    w = np.linalg.solve(s.M22, space.Psi2.T @ mu0)
     return SplitState(u, w)

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from paradiff.experiment import (
     dump_config,
     run_single,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def tiny_config(**overrides):
@@ -332,3 +335,24 @@ def test_runtime_failure_exit_code(tmp_path, monkeypatch, capsys):
     rc = cli.main(["run", "--config", config_file(tmp_path), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "experiment failed" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv, tag",
+    [
+        # the coarse step's K_G = M/dt + A_u overflows at a denormal horizon
+        (["check", "--config", str(CONFIGS / "example1.ini"), "--set", "time.t_end=1e-310"], "[run N=20]"),
+        (
+            ["basis", "--out", "out", "--set", "grid.nx=3", "--set", "grid.blocks=1", "--set", "grid.layers=2",
+             "--set", "field.contrast=1.6e307", "--set", "field.channels=1:3, 1:2\n2:3, 1:2"],
+            "[basis]",
+        ),
+    ],
+)
+def test_numerical_failure_exits_1_with_its_stage(tmp_path, monkeypatch, capsys, argv, tag):
+    monkeypatch.chdir(tmp_path)  # where a basis that built would write ./out
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"experiment failed: {tag}" in err
+    assert "Traceback" not in err

@@ -1,6 +1,6 @@
-"""Property tests: every valid config survives a dump/load round trip, and
+"""Property tests: every valid config survives a dump/load round trip,
 every out-of-range value is a ConfigError on both the object and the text
-path."""
+path, and every run of a valid config returns or fails with a stage tag."""
 
 import configparser
 import io
@@ -10,7 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paradiff.experiment import ConfigError, ExperimentConfig, config_from_parser, config_to_parser
+from paradiff.experiment import (
+    ConfigError,
+    ExperimentConfig,
+    ExperimentError,
+    build_pipeline,
+    config_from_parser,
+    config_to_parser,
+    run_single,
+)
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -135,3 +143,16 @@ def test_out_of_range_value_is_config_error(cfg, data):
         bad.validate()
     with pytest.raises(ConfigError):
         through_text(bad)
+
+
+# overflow warnings are errors under the test config; a run at a huge
+# contrast or a denormal horizon overflows on its way to a tagged failure
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(valid_configs(), st.integers(1, 3), st.integers(0, 4), st.booleans())
+def test_run_of_valid_config_returns_or_fails_with_stage_tag(cfg, n, substeps, reference):
+    cfg = replace(cfg, n_values=(n,), substeps=substeps, compute_reference=reference)
+    try:
+        run_single(build_pipeline(cfg), n)
+    except ExperimentError:
+        pass

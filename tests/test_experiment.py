@@ -267,14 +267,38 @@ def test_run_experiment_cleans_up_on_emit_failure(tmp_path, monkeypatch):
 
 
 def test_run_experiment_tags_failing_stage(monkeypatch, tmp_path):
-    def boom(pipe, n):
+    def boom(*args):
         raise ValueError("synthetic failure")
 
-    monkeypatch.setattr(expmod, "run_single", boom)
+    monkeypatch.setattr(expmod, "run_parareal", boom)
+    cfg = tiny_config()
     with pytest.raises(ExperimentError) as err:
-        run_experiment(tiny_config(), tmp_path / "out")
+        run_single(build_pipeline(cfg), 3)
     assert err.value.stage == "run N=3"
     assert "synthetic failure" in str(err.value)
+    with pytest.raises(ExperimentError) as err:
+        run_experiment(cfg, tmp_path / "out")
+    assert err.value.stage == "run N=3"
+    assert "synthetic failure" in str(err.value)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        # eigh of the w-pencil meets a NaN
+        ExperimentConfig(nx=3, blocks=1, layers=2, contrast=1.6e307, channels=[(1, 3, 1, 2), (2, 3, 1, 2)], n_values=(1,)),
+        # the eigenvalues of the stacked coarse mass Gram do not converge
+        ExperimentConfig(
+            nx=4, blocks=2, layers=1, background=0.89, contrast=1e307,
+            channels=[(2, 3, 0, 1), (0, 2, 0, 4), (0, 4, 1, 3)], n_values=(1,),
+        ),
+    ],
+)
+def test_numerical_failure_at_extreme_contrast_is_a_basis_error(cfg):
+    with pytest.raises(ExperimentError) as err:
+        build_pipeline(cfg)
+    assert err.value.stage == "basis"
 
 
 def test_substep_above_stability_bound_fails_with_one_stage_tag(tmp_path):

@@ -19,7 +19,6 @@ import argparse
 import logging
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +30,7 @@ from .experiment import (
     build_pipeline,
     check_config,
     config_to_parser,
+    emitting,
     example1_config,
     run_experiment,
     run_single,
@@ -88,22 +88,21 @@ def cmd_solve(args) -> int:
 
 
 def cmd_basis(args) -> int:
+    """Build the multiscale space and write Psi1.txt, Psi2.txt and basis_report.txt
+    under --out in the emit stage, which removes them all if one write fails."""
     cfg = _load_with_overrides(args, example1_config())
     pipe = build_pipeline(cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_matrix_txt(out / "Psi1.txt", pipe.space.Psi1.toarray())
-    save_matrix_txt(out / "Psi2.txt", pipe.space.Psi2.toarray())
-    m_counts = pipe.space.decomposition.m_counts()
-    with (out / "basis_report.txt").open("w") as fh:
-        fh.write(
+    with emitting(args.out) as path:
+        save_matrix_txt(path("Psi1.txt"), pipe.space.Psi1.toarray())
+        save_matrix_txt(path("Psi2.txt"), pipe.space.Psi2.toarray())
+        path("basis_report.txt").write_text(
             "\n".join(
                 [
                     f"d1 = {pipe.space.d1} (channel continua)",
                     f"d2 = {pipe.space.d2} (mean field + matrix continua)",
                     f"gamma = {pipe.gamma:.12f}",
                     f"constraint residual = {pipe.space.constraint_residual:.3e}",
-                    f"continua per block m_i: {m_counts}",
+                    f"continua per block m_i: {pipe.space.decomposition.m_counts()}",
                     "",
                 ]
             )

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import configparser
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -68,33 +69,27 @@ def _format_ranges(values: tuple) -> str:
     return ", ".join(f"{lo}:{hi}" for lo, hi in zip(values[::2], values[1::2]))
 
 
-def _parse_region(text: str, cfg: "ExperimentConfig") -> tuple | None:
-    """A point source's cell 'cx, cy', any other kind's ranges 'x0:x1, y0:y1'."""
+def _parse_region(text: str) -> tuple | None:
+    """Ranges 'x0:x1, y0:y1' where the text has colons, a cell 'cx, cy' where it has none."""
     if not text:
         return None
-    if cfg.source_kind == "point":
-        return tuple(int(v) for v in text.split(","))
-    return _parse_ranges(text, cast=float)
+    if ":" in text:
+        return _parse_ranges(text, cast=float)
+    return tuple(int(v) for v in text.split(","))
 
 
-def _format_region(region: tuple | None, cfg: "ExperimentConfig") -> str:
+def _format_region(region: tuple | None) -> str:
     if region is None:
         return ""
-    return ", ".join(map(str, region)) if cfg.source_kind == "point" else _format_ranges(region)
+    return ", ".join(map(str, region)) if len(region) == 2 else _format_ranges(region)
 
 
-def _plain(parse, fmt=str) -> tuple:
-    """(parse, format) of an option read and written without the other fields."""
-    return (lambda text, cfg: parse(text)), (lambda value, cfg: fmt(value))
-
-
-# (parse, format) per option type: parse(text, cfg) reads the option's
-# stripped text once the fields declared before it are set on cfg, and
-# format(value, cfg) writes the value back
-_INT, _FLOAT, _STR = _plain(int), _plain(float, repr), _plain(str)
-_BOOL = _plain(lambda text: configparser.ConfigParser.BOOLEAN_STATES[text.lower()])
-_N_VALUES = _plain(lambda text: tuple(int(v) for v in text.split()), lambda v: " ".join(map(str, v)))
-_CHANNELS = _plain(
+# (parse, format) per option type: parse reads the option's stripped text
+# and format writes the value back
+_INT, _FLOAT, _STR = (int, str), (float, repr), (str, str)
+_BOOL = (lambda text: configparser.ConfigParser.BOOLEAN_STATES[text.lower()], str)
+_N_VALUES = (lambda text: tuple(int(v) for v in text.split()), lambda v: " ".join(map(str, v)))
+_CHANNELS = (
     lambda text: [_parse_ranges(line) for line in text.splitlines() if line.strip()],
     lambda channels: "\n" + "\n".join(_format_ranges(c) for c in channels),
 )
@@ -205,14 +200,14 @@ def config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
         for option in parser.options(section):
             if (section, option) not in known:
                 raise ConfigError(f"unknown option {section}.{option}")
-    cfg = ExperimentConfig()
+    values = {}
     for name, section, option, parse, _ in _OPTIONS:
         if parser.has_option(section, option):
             try:
-                setattr(cfg, name, parse(parser.get(section, option).strip(), cfg))
+                values[name] = parse(parser.get(section, option).strip())
             except (ValueError, KeyError, configparser.Error) as exc:
                 raise ConfigError(f"{section}.{option}: {exc}") from exc
-    return cfg.validate()
+    return ExperimentConfig(**values).validate()
 
 
 def config_to_parser(cfg: ExperimentConfig) -> configparser.ConfigParser:
@@ -221,7 +216,7 @@ def config_to_parser(cfg: ExperimentConfig) -> configparser.ConfigParser:
     for name, section, option, _, fmt in _OPTIONS:
         if not parser.has_section(section):
             parser.add_section(section)
-        parser.set(section, option, fmt(getattr(cfg, name), cfg))
+        parser.set(section, option, fmt(getattr(cfg, name)))
     return parser
 
 
@@ -325,14 +320,14 @@ def run_single(pipe: Pipeline, n: int) -> RunResult:
     config asks. Raises only ExperimentError, tagged "stability N=<n>",
     "fine N=<n>", "reference N=<n>" or, for any other failure, "run N=<n>"."""
     cfg = pipe.config
-    tg = cfg.time_grid(n)
-    bound = pipe.propagators.stability_max_step()
-    if tg.dt_sub > bound:
-        raise ExperimentError(
-            f"stability N={n}",
-            f"substep {tg.dt_sub:.3e} exceeds the explicit stability bound {bound:.3e}",
-        )
     try:
+        tg = cfg.time_grid(n)
+        bound = pipe.propagators.stability_max_step()
+        if tg.dt_sub > bound:
+            raise ExperimentError(
+                f"stability N={n}",
+                f"substep {tg.dt_sub:.3e} exceeds the explicit stability bound {bound:.3e}",
+            )
         fine = build_fine_propagator(cfg.fine_kind, pipe.propagators, tg, cfg.alpha, cfg.epsilon)
         run = run_parareal(pipe.propagators, fine, pipe.initial, tg, cfg.epsilon)
         ref_final, err, series = None, float("nan"), []
@@ -346,6 +341,8 @@ def run_single(pipe: Pipeline, n: int) -> RunResult:
                 u, w = run.endpoint(k)
                 series.append(relative_error(pipe.ops, ref_final, pipe.space.reconstruct(u, w)))
             err = series[-1]
+    except ExperimentError:  # the stability check's own tag
+        raise
     except FineSolveError as exc:
         raise ExperimentError(f"fine N={n}", f"waveform relaxation: {exc}") from exc
     except ReferenceSolveError as exc:
@@ -363,29 +360,38 @@ class ExperimentReport:
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
     """Execute every configured N, then write all artifacts under out_dir,
-    made before the runs so that a bad path fails at once. Raises what
-    build_pipeline and run_single raise, and ExperimentError("emit") once a
-    failed write has removed the files written so far."""
+    all in one emit stage that makes out_dir first, so a bad path fails
+    before the first run. Raises what build_pipeline and run_single raise,
+    and ExperimentError("emit") for a failed mkdir or write."""
     pipe = build_pipeline(cfg)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    results = [run_single(pipe, n) for n in cfg.n_values]
-    written: list[Path] = []
+    with emitting(out_dir) as path:
+        results = [run_single(pipe, n) for n in cfg.n_values]
+        _emit_all(cfg, pipe, results, path)
+    return ExperimentReport(results, path.files)
+
+
+@contextmanager
+def emitting(out_dir):
+    """Make out_dir and yield path(name), which returns out_dir/name and
+    records it in path.files. Any OSError inside, the mkdir's included,
+    unlinks every recorded file and raises ExperimentError("emit")."""
+    out, files = Path(out_dir), []
+
+    def path(name: str) -> Path:
+        files.append(out / name)
+        return files[-1]
+
+    path.files = files
     try:
-        _emit_all(cfg, pipe, results, out, written)
+        out.mkdir(parents=True, exist_ok=True)
+        yield path
     except OSError as exc:
-        for p in written:
+        for p in files:
             p.unlink(missing_ok=True)
         raise ExperimentError("emit", str(exc)) from exc
-    return ExperimentReport(results, written)
 
 
-def _emit_all(cfg, pipe, results, out: Path, written: list[Path]) -> None:
-    def path(name: str) -> Path:
-        p = out / name
-        written.append(p)
-        return p
-
+def _emit_all(cfg, pipe, results, path) -> None:
     dump_config(cfg, path("config_echo.ini"))
     save_matrix_txt(path("kappa.txt"), pipe.ops.field.as_matrix())
 
@@ -430,8 +436,7 @@ def _emit_all(cfg, pipe, results, out: Path, written: list[Path]) -> None:
                     node_values_on_grid(pipe.grid, r.reference_final),
                 )
 
-    with path("summary.txt").open("w") as fh:
-        fh.write(_summary_text(cfg, pipe, results))
+    path("summary.txt").write_text(_summary_text(cfg, pipe, results))
 
 
 def _summary_text(cfg, pipe, results) -> str:

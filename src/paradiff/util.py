@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-from pathlib import Path
 
 import numpy as np
 
@@ -29,8 +28,7 @@ def save_matrix_txt(path, array) -> None:
 
 def write_csv(path, header: list[str], rows) -> None:
     """Write rows of mixed scalars as CSV; floats at full round-trip precision."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:

@@ -184,7 +184,55 @@ def test_out_path_collides_with_file(tmp_path, capsys):
     target.write_text("")
     rc = cli.main(["basis", "--config", config_file(tmp_path), "--out", str(target)])
     assert rc == 1
-    assert "experiment failed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "experiment failed" in err
+    assert "[emit]" in err
+
+
+def test_run_out_collides_with_file_before_any_run(tmp_path, monkeypatch, capsys):
+    """The emit stage makes --out before the first run, so a bad path costs no run."""
+    calls = []
+    monkeypatch.setattr(expmod, "run_single", lambda pipe, n: calls.append(n))
+    target = tmp_path / "taken"
+    target.write_text("")
+    rc = cli.main(["run", "--config", config_file(tmp_path), "--out", str(target)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "experiment failed: [emit]" in err and "Traceback" not in err
+    assert calls == []
+
+
+def test_failed_basis_write_leaves_no_files(tmp_path, monkeypatch, capsys):
+    written = []
+
+    def second_write_fails(path, array):
+        if written:
+            raise OSError("disk full")
+        written.append(path)
+        np.savetxt(path, array)
+
+    monkeypatch.setattr(cli, "save_matrix_txt", second_write_fails)
+    out = tmp_path / "out"
+    rc = cli.main(["basis", "--config", config_file(tmp_path), "--out", str(out)])
+    assert rc == 1
+    assert "experiment failed: [emit] disk full" in capsys.readouterr().err
+    assert written == [out / "Psi1.txt"]
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "kind, region, message",
+    [
+        ("box", "3,4", "box source region (3, 4) must be x0:x1, y0:y1 ordered inside [0,1]^2"),
+        ("point", "0.2:0.4,0.2:0.4", "point source cell (0.2, 0.4, 0.2, 0.4) must be two cell indices cx, cy"),
+    ],
+    ids=["box-as-cell", "point-as-ranges"],
+)
+def test_region_in_the_wrong_form_names_the_region(tmp_path, capsys, kind, region, message):
+    """The region's form comes from its text; the source kind reports a form that does not fit it."""
+    args = ["check", "--config", config_file(tmp_path), "--set", f"source.kind={kind}"]
+    assert cli.main(args + ["--set", f"source.region={region}"]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
 
 
 def test_missing_config_file(tmp_path, capsys):

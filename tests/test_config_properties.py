@@ -1,13 +1,15 @@
 """Property tests: every valid config survives a dump/load round trip,
 every out-of-range value is a ConfigError on both the object and the text
-path, and every run of a valid config returns or fails with a stage tag."""
+path, every run of a valid config returns or fails with a stage tag, and
+over physical configs parareal's rows are the exact fine composition and
+a repeated run is bitwise equal."""
 
 import configparser
 import io
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from paradiff.experiment import (
@@ -19,19 +21,24 @@ from paradiff.experiment import (
     config_to_parser,
     run_single,
 )
+from paradiff.parareal import build_fine_propagator
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def valid_configs(draw):
-    blocks = draw(st.integers(1, 4))
-    nx = blocks * draw(st.integers(2, 5))
+def channel_lists(draw, nx):
     channels = []
     for _ in range(draw(st.integers(0, 3))):
         x0, x1 = sorted(draw(st.lists(st.integers(0, nx), min_size=2, max_size=2, unique=True)))
         y0, y1 = sorted(draw(st.lists(st.integers(0, nx), min_size=2, max_size=2, unique=True)))
         channels.append((x0, x1, y0, y1))
+    return channels
+
+
+@st.composite
+def source_regions(draw, nx):
+    """(kind, region) of a source that loads at least one cell of an nx grid."""
     kind = draw(st.sampled_from(["constant", "box", "point"]))
     if kind == "box":
         # x0 <= c < x1 on both axes for the center c of one drawn cell
@@ -43,6 +50,15 @@ def valid_configs(draw):
         region = (draw(st.integers(0, nx - 1)), draw(st.integers(0, nx - 1)))
     else:
         region = None
+    return kind, region
+
+
+@st.composite
+def valid_configs(draw):
+    blocks = draw(st.integers(1, 4))
+    nx = blocks * draw(st.integers(2, 5))
+    channels = draw(channel_lists(nx))
+    kind, region = draw(source_regions(nx))
     return ExperimentConfig(
         nx=nx,
         blocks=blocks,
@@ -62,6 +78,40 @@ def valid_configs(draw):
         compute_reference=draw(st.booleans()),
         export_solution=draw(st.booleans()),
     )
+
+
+@st.composite
+def physical_runs(draw):
+    """(pipeline, N) of a config with a physical field and a stable horizon:
+    t_end = f N M min(bound, 1) puts the substep at f min(bound, 1)."""
+    blocks = draw(st.integers(1, 4))
+    nx = blocks * draw(st.integers(2, 5))
+    kind, region = draw(source_regions(nx))
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    cfg = ExperimentConfig(
+        nx=nx,
+        blocks=blocks,
+        layers=draw(st.integers(0, 5)),
+        background=10.0 ** draw(st.floats(-2.0, 2.0)),
+        contrast=10.0 ** draw(st.floats(0.0, 8.0)),
+        channels=draw(channel_lists(nx)),
+        source_kind=kind,
+        source_amplitude=draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-3.0, 3.0)),
+        source_region=region,
+        n_values=(n,),
+        substeps=m,
+        alpha=draw(st.floats(0.05, 0.95)),
+        epsilon=0.0,
+        fine_kind=draw(st.sampled_from(["all-at-once", "sequential"])),
+        compute_reference=False,
+    )
+    try:
+        pipe = build_pipeline(cfg)
+    except ExperimentError:
+        assume(False)
+    bound = min(pipe.propagators.stability_max_step(), 1.0)
+    t_end = draw(st.floats(0.01, 1.0)) * n * m * bound
+    return replace(pipe, config=replace(cfg, t_end=t_end)), n
 
 
 def through_text(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -156,3 +206,40 @@ def test_run_of_valid_config_returns_or_fails_with_stage_tag(cfg, n, substeps, r
         run_single(build_pipeline(cfg), n)
     except ExperimentError:
         pass
+
+
+def _run_or_skip(pipe, n):
+    """run_single's result; a stage-tagged failure is outside these premises
+    (the failure-contract property above covers it)."""
+    try:
+        return run_single(pipe, n)
+    except ExperimentError:
+        assume(False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(physical_runs())
+def test_parareal_rows_are_exact_fine_compositions(drawn):
+    """Row n is final from iterate n on: history[n][n] and the last iterate's
+    row n are the n-fold fine composition from the start row, bit for bit.
+    At epsilon 0 the run stops by iterate N + 1, earlier on a zero update."""
+    pipe, n_int = drawn
+    run = _run_or_skip(pipe, n_int).run
+    cfg, last = pipe.config, len(run.history) - 1
+    assert last <= n_int + 1
+    fine = build_fine_propagator(cfg.fine_kind, pipe.propagators, cfg.time_grid(n_int), cfg.alpha, cfg.epsilon)
+    row = pipe.initial
+    for n in range(min(n_int, last) + 1):
+        assert run.history[n][n].tobytes() == row.tobytes(), f"history[{n}][{n}]"
+        assert run.history[last][n].tobytes() == row.tobytes(), f"history[{last}][{n}]"
+        row = fine.propagate(row)[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(physical_runs())
+def test_repeated_parareal_run_is_bitwise_equal(drawn):
+    pipe, n_int = drawn
+    first = _run_or_skip(pipe, n_int).run.history
+    second = run_single(pipe, n_int).run.history
+    assert len(first) == len(second)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, second))

@@ -266,6 +266,15 @@ def test_run_experiment_cleans_up_on_emit_failure(tmp_path, monkeypatch):
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("n", [0, -2])
+def test_run_single_below_one_interval_is_a_run_error(n):
+    """validate() keeps such an N from the CLI; a library caller gets the run stage's tag."""
+    with pytest.raises(ExperimentError) as err:
+        run_single(build_pipeline(tiny_config()), n)
+    assert err.value.stage == f"run N={n}"
+    assert "n_intervals >= 1" in str(err.value)
+
+
 def test_run_experiment_tags_failing_stage(monkeypatch, tmp_path):
     def boom(*args):
         raise ValueError("synthetic failure")

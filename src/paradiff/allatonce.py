@@ -131,7 +131,7 @@ def build_rhs(
     Row s carries the load plus the lagged w-terms of the previous waveform
     iterate, f1^s - M12 (w_{s-1} - w_{s-2})/dt - A12 w_{s-1}; the first row
     adds M11 (u_0 - alpha u_M^{prev})/dt. The interval's initial w supplies
-    w_0 and its lag w_{-1} = w_0.
+    w_0 and its lag w_{-1} = w_0. A single load row broadcasts to every substep.
     """
     w_hist = np.concatenate((w_start[None], w_start[None], w_rows_prev[:-1]))
     dw = (w_hist[1:] - w_hist[:-1]) / dt
@@ -191,11 +191,10 @@ class WaveformRelaxation:
     product; a sweep after each cycle gives `_stop_reason` the true residual,
     the max-over-substeps update of u plus that of w. The info's
     `residuals` has one entry per sweep, GMRES's estimate inside a cycle.
-    The default tol 1e-14 is the pipeline's. No sweep cap is needed: a
-    cycle costs at most min(60, M*d1) + 1 sweeps and must cut the true
-    residual 10-fold, else the solve ends converged ("floor" within
-    1e3*tol) or "diverged". With d1 = 0 the w-sweep reads no u iterate and
-    the second sweep is exact.
+    No sweep cap is needed: a cycle costs at most min(60, M*d1) + 1 sweeps
+    and must cut the true residual 10-fold, else the solve ends converged
+    ("floor" within 1e3*tol) or "diverged". With d1 = 0 the w-sweep reads
+    no u iterate and the second sweep is exact.
     """
 
     def __init__(
@@ -204,7 +203,7 @@ class WaveformRelaxation:
         substeps: int,
         dt_interval: float,
         alpha: float,
-        tol: float = 1e-14,
+        tol: float,
     ):
         self.propagators = propagators
         self.substeps = substeps
@@ -220,7 +219,10 @@ class WaveformRelaxation:
         powers = self.mu[:, None] ** np.arange(substeps + 1)
         lag = np.subtract.outer(np.arange(substeps), np.arange(substeps))
         self._unroll = np.ascontiguousarray(np.where(lag >= 0, powers[:, np.maximum(lag, 0)], 0.0))
-        self._a12_dt_t = self.dt * propagators.a12_modes_t
+        # the couplings in the w-modes, w = V z, so that build_rhs reads z
+        self._blocks = (propagators.system.M11, propagators.m12_modes, propagators.a12_modes)
+        self._m12_t = np.ascontiguousarray(propagators.m12_modes.T)
+        self._a12_dt_t = self.dt * np.ascontiguousarray(propagators.a12_modes.T)  # contiguous, then scaled
 
     def _sweep_z(self, h_t: np.ndarray) -> np.ndarray:
         """sum_{j<=s} mu^{s-j} h_j for every substep s; h_t and the result are (d2, M)."""
@@ -231,15 +233,12 @@ class WaveformRelaxation:
         # minus the u-driven part of h: V^T (M21 (u_s - u_{s-1}) + dt A21 u_s),
         # with the lag u_{-1} = u_0
         u_hist = np.concatenate((u0[None], u0[None], u_rows[:-1]))
-        g_t = self.propagators.m12_modes_t @ (u_hist[1:] - u_hist[:-1]).T + self._a12_dt_t @ u_rows.T
+        g_t = self._m12_t @ (u_hist[1:] - u_hist[:-1]).T + self._a12_dt_t @ u_rows.T
         return (z_base - self._sweep_z(g_t)).T
 
     def _u_rows(self, u_rows: np.ndarray, z_rows: np.ndarray, start: tuple) -> np.ndarray:
-        f1_rows, u0, z0, _ = start
-        p = self.propagators
-        # the couplings in the w-modes, w = V z, so that build_rhs reads z
-        blocks = (p.system.M11, p.m12_modes, p.a12_modes)
-        rhs = build_rhs(*blocks, f1_rows, u0, z0, z_rows, u_rows[-1], self.dt, self.alpha)
+        f1, u0, z0, _ = start
+        rhs = build_rhs(*self._blocks, f1, u0, z0, z_rows, u_rows[-1], self.dt, self.alpha)
         return self.implicit.solve(rhs)
 
     def solve(self, row: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -251,7 +250,7 @@ class WaveformRelaxation:
         # the part of the w-sweep free of the u iterate; z_0 enters as mu z_0 in h_1
         h = np.tile(self.dt * props.f2_modes, (m, 1))
         h[0] += self.mu * z0
-        start = (np.tile(props.loads.f1, (m, 1)), u0, z0, self._sweep_z(h.T))
+        start = (props.f1, u0, z0, self._sweep_z(h.T))
         unloaded = tuple(np.zeros_like(a) for a in start)
 
         def apply(v):  # (I - K) v

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -40,7 +40,7 @@ from .fem import (
 )
 from .msbasis import CoarsePartition, MultiscaleSpace, build_multiscale_space, project_load, subspace_angle
 from .parareal import FineSolveError, ParerealRun, build_fine_propagator, run_parareal
-from .stepping import ConstantLoads, SplitPropagators, TimeGrid, project_initial
+from .stepping import SplitPropagators, TimeGrid, project_initial
 from .util import save_matrix_txt, write_csv
 
 
@@ -272,7 +272,7 @@ class Pipeline:
     grid: FineGrid
     ops: FineOperators
     space: MultiscaleSpace
-    loads: ConstantLoads
+    loads: tuple[np.ndarray, np.ndarray]  # (f1, f2), from project_load
     gamma: float
     propagators: SplitPropagators
     initial: np.ndarray  # the zero start as a stacked (u, w) row, built once for every run
@@ -286,7 +286,7 @@ def build_pipeline(cfg: ExperimentConfig) -> Pipeline:
         grid = build_fine_grid(cfg.nx)
         ops = assemble_fine(grid, generate_field(grid, cfg.background, cfg.contrast, cfg.to_channels()))
         space = build_multiscale_space(ops, cfg.blocks, cfg.layers)
-        loads = ConstantLoads(*project_load(space, ops.load(cfg.to_source())))
+        loads = project_load(space, ops.load(cfg.to_source()))
         propagators = SplitPropagators(space.system, loads)
         initial = project_initial(np.zeros(grid.n_interior), space, ops).stacked()
         gamma = subspace_angle(space.system)
@@ -361,8 +361,9 @@ class ExperimentReport:
 def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
     """Execute every configured N, then write all artifacts under out_dir,
     all in one emit stage that makes out_dir first, so a bad path fails
-    before the first run. Raises what build_pipeline and run_single raise,
-    and ExperimentError("emit") for a failed mkdir or write."""
+    before the first run and a failed run leaves no directory behind. Raises
+    what build_pipeline and run_single raise, and ExperimentError("emit")
+    for a failed mkdir or write."""
     pipe = build_pipeline(cfg)
     with emitting(out_dir) as path:
         results = [run_single(pipe, n) for n in cfg.n_values]
@@ -373,9 +374,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
 @contextmanager
 def emitting(out_dir):
     """Make out_dir and yield path(name), which returns out_dir/name and
-    records it in path.files. Any OSError inside, the mkdir's included,
-    unlinks every recorded file and raises ExperimentError("emit")."""
+    records it in path.files. Any error inside, the mkdir's included,
+    removes every recorded file, then each directory the mkdir made where
+    empty; an OSError becomes ExperimentError("emit"), any other passes through."""
     out, files = Path(out_dir), []
+    made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
 
     def path(name: str) -> Path:
         files.append(out / name)
@@ -385,10 +388,15 @@ def emitting(out_dir):
     try:
         out.mkdir(parents=True, exist_ok=True)
         yield path
-    except OSError as exc:
+    except Exception as exc:
         for p in files:
             p.unlink(missing_ok=True)
-        raise ExperimentError("emit", str(exc)) from exc
+        for d in made:
+            with suppress(OSError):  # rmdir removes only an empty directory
+                d.rmdir()
+        if isinstance(exc, OSError):
+            raise ExperimentError("emit", str(exc)) from exc
+        raise
 
 
 def _emit_all(cfg, pipe, results, path) -> None:

@@ -69,14 +69,6 @@ class TimeGrid:
         return self.dt / self.substeps
 
 
-class ConstantLoads:
-    """Time-constant coarse load pair (f1, f2) = (Psi1^T b, Psi2^T b)."""
-
-    def __init__(self, f1: np.ndarray, f2: np.ndarray):
-        self.f1 = np.asarray(f1, dtype=float)
-        self.f2 = np.asarray(f2, dtype=float)
-
-
 @dataclass
 class SplitTrajectory:
     """The end state of `fine_interval`; `final` is all bench/harness.py reads."""
@@ -87,23 +79,21 @@ class SplitTrajectory:
 class SplitPropagators:
     """Fine (multi-substep) and coarse (one-step) propagators for one system.
 
-    Owns the w-modes (lam, modes) of the system, the modal load f2 V and
-    the couplings of u to the modes, M12 V and A12 V with their contiguous
-    transposes; the waveform-relaxation solver reads them from here.
-    The one-step maps of the substep's u-update and of the coarse step are
-    built once per step size, so repeated parareal sweeps pay only
-    matrix-vector products.
+    Owns the loads, the (f1, f2) pair that `project_load` returns, the
+    w-modes (lam, modes) of the system, the modal load f2 V and the
+    couplings M12 V and A12 V of u to the modes, which the waveform
+    relaxation reads. The one-step maps of the substep's u-update and of
+    the coarse step are built once per step size, so repeated parareal
+    sweeps pay only matrix-vector products.
     """
 
-    def __init__(self, system: CoarseSystem, loads: ConstantLoads):
+    def __init__(self, system: CoarseSystem, loads: tuple[np.ndarray, np.ndarray]):
         self.system = system
-        self.loads = loads
+        self.f1, self.f2 = loads
         self.lam, self.modes = eigh(system.A22, system.M22)
         self.m12_modes = system.M12 @ self.modes
         self.a12_modes = system.A12 @ self.modes
-        self.m12_modes_t = np.ascontiguousarray(self.m12_modes.T)
-        self.a12_modes_t = np.ascontiguousarray(self.a12_modes.T)
-        self.f2_modes = loads.f2 @ self.modes
+        self.f2_modes = self.f2 @ self.modes
         self._u_maps: dict[float, tuple] = {}
         self._g_maps: dict[float, tuple] = {}
 
@@ -117,7 +107,7 @@ class SplitPropagators:
         if dt not in self._u_maps:
             s = self.system
             k = cho_factor(s.M11 / dt + s.A11)
-            blocks = (s.M11 / dt, self.m12_modes / dt, self.a12_modes, self.loads.f1)
+            blocks = (s.M11 / dt, self.m12_modes / dt, self.a12_modes, self.f1)
             self._u_maps[dt] = tuple(np.ascontiguousarray(cho_solve(k, b).T) for b in blocks)
         return self._u_maps[dt]
 
@@ -157,7 +147,7 @@ class SplitPropagators:
             a_w = np.zeros_like(stiff)
             a_w[:, s.d1 :] = stiff[:, s.d1 :]
             k = lu_factor(mass / dt + (stiff - a_w))
-            f = np.concatenate([self.loads.f1, self.loads.f2])
+            f = np.concatenate([self.f1, self.f2])
             self._g_maps[dt] = (lu_solve(k, mass / dt - a_w), lu_solve(k, f))
         return self._g_maps[dt]
 

@@ -26,7 +26,6 @@ from paradiff.experiment import (
 from paradiff.msbasis import CoarseSystem
 from paradiff.parareal import AllAtOnceFine, SequentialFine, run_parareal
 from paradiff.stepping import (
-    ConstantLoads,
     SplitPropagators,
     SplitState,
     TimeGrid,
@@ -156,7 +155,7 @@ def test_waveform_relaxation_matches_sequential_and_contracts_like_gamma_squared
     )
     # identity mass blocks make gamma the largest singular value of M12
     assert np.linalg.svd(sysb.M12, compute_uv=False)[0] == gamma
-    loads = ConstantLoads(np.array([1.0, 1.0]), np.array([1.0, -1.0]))
+    loads = (np.array([1.0, 1.0]), np.array([1.0, -1.0]))
     wr = WaveformRelaxation(SplitPropagators(sysb, loads), 8, 0.01, 0.1, tol=1e-13)
     r = wr.solve(np.zeros(4))[1]["residuals"]
     ratios = [r[i + 1] / r[i] for i in range(2, min(8, len(r) - 1))]

@@ -117,7 +117,7 @@ def test_diverged_waveform_relaxation_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "[fine N=8] waveform relaxation: 8 fine solves diverged" in err
     assert "at iteration 1 on intervals" in err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_unsettled_reference_exits_1(tmp_path, monkeypatch, capsys):
@@ -131,7 +131,18 @@ def test_unsettled_reference_exits_1(tmp_path, monkeypatch, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "[reference N=8] did not settle: 20 Krylov vectors, last relative change" in err
-    assert not any(out.iterdir())
+    assert not out.exists()
+
+
+def test_failed_run_removes_the_directories_it_made_only(tmp_path, capsys):
+    unstable = ["run", "--set", "parareal.n_values=3", "--set", "parareal.substeps=1", "--out"]
+    assert cli.main([*unstable, str(tmp_path / "a" / "b")]) == 1
+    assert "experiment failed: [stability N=3]" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    assert cli.main([*unstable, str(existing)]) == 1
+    assert existing.is_dir()
 
 
 def test_solve_writes_artifacts(tmp_path, capsys):
@@ -217,7 +228,7 @@ def test_failed_basis_write_leaves_no_files(tmp_path, monkeypatch, capsys):
     assert rc == 1
     assert "experiment failed: [emit] disk full" in capsys.readouterr().err
     assert written == [out / "Psi1.txt"]
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

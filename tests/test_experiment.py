@@ -263,7 +263,7 @@ def test_run_experiment_cleans_up_on_emit_failure(tmp_path, monkeypatch):
     with pytest.raises(ExperimentError) as err:
         run_experiment(tiny_config(), out)
     assert err.value.stage == "emit"
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("n", [0, -2])
@@ -321,7 +321,7 @@ def test_substep_above_stability_bound_fails_with_one_stage_tag(tmp_path):
         run_experiment(cfg, out)
     assert err.value.stage == "stability N=3"
     assert str(err.value).startswith("[stability N=3] substep")
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_diverged_waveform_relaxation_fails_with_stage_tag():

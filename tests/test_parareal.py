@@ -9,7 +9,7 @@ from paradiff.parareal import (
     max_state_diff,
     run_parareal,
 )
-from paradiff.stepping import ConstantLoads, SplitPropagators, TimeGrid
+from paradiff.stepping import SplitPropagators, TimeGrid
 
 
 def scalar_system(a=6.0):
@@ -190,7 +190,7 @@ def test_unconverged_fine_solve_raises_with_its_interval(channel_pipeline):
 def test_scalar_closed_form_solution():
     a, f, t_end = 6.0, 2.4, 0.8
     sysb = scalar_system(a)
-    loads = ConstantLoads(np.array([f]), np.zeros(0))
+    loads = (np.array([f]), np.zeros(0))
     props = SplitPropagators(sysb, loads)
     tg = TimeGrid(t_end, 8, 16)
     fine = build_fine_propagator("all-at-once", props, tg, alpha=0.5, epsilon=1e-15)

@@ -6,7 +6,6 @@ from paradiff import stepping
 from paradiff.msbasis import CoarseSystem
 from paradiff.parareal import SequentialFine, build_fine_propagator
 from paradiff.stepping import (
-    ConstantLoads,
     SplitPropagators,
     SplitState,
     TimeGrid,
@@ -70,7 +69,7 @@ SYSTEMS = pytest.mark.parametrize("make_system", [tiny_system, u_only_system, w_
 @SYSTEMS
 def test_split_step_matches_written_formulas(make_system):
     sysb = make_system()
-    loads = ConstantLoads(np.full(sysb.d1, 0.3), np.full(sysb.d2, -0.2))
+    loads = (np.full(sysb.d1, 0.3), np.full(sysb.d2, -0.2))
     props = SplitPropagators(sysb, loads)
     dt = 0.01
     u, w = np.full(sysb.d1, 1.0), np.full(sysb.d2, 2.0)
@@ -80,7 +79,7 @@ def test_split_step_matches_written_formulas(make_system):
     u_out, z_out = props.split_step(u, to_modes(w), u_prev, to_modes(w_prev), dt)
     w_out = props.modes @ z_out
     # u implicit in A11, all w terms lagged with a backward difference
-    rhs_u = sysb.M11 @ u / dt - sysb.M12 @ (w - w_prev) / dt - sysb.A12 @ w + loads.f1
+    rhs_u = sysb.M11 @ u / dt - sysb.M12 @ (w - w_prev) / dt - sysb.A12 @ w + loads[0]
     u_new = np.linalg.solve(sysb.M11 / dt + sysb.A11, rhs_u)
     # w mass solve with explicit stiffness and the new u in the cross term
     rhs_w = (
@@ -88,7 +87,7 @@ def test_split_step_matches_written_formulas(make_system):
         - sysb.M12.T @ (u - u_prev) / dt
         - sysb.A12.T @ u_new
         - sysb.A22 @ w
-        + loads.f2
+        + loads[1]
     )
     w_new = np.linalg.solve(sysb.M22 / dt, rhs_w)
     assert u_out.shape == u_new.shape and w_out.shape == w_new.shape
@@ -106,7 +105,7 @@ def test_sweep_rows_match_fine_interval_bitwise(make_system, channel_pipeline, r
         sysb, loads = channel_pipeline.space.system, channel_pipeline.loads
     else:
         sysb = make_system()
-        loads = ConstantLoads(np.full(sysb.d1, 0.3), np.full(sysb.d2, -0.2))
+        loads = (np.full(sysb.d1, 0.3), np.full(sysb.d2, -0.2))
     props = SplitPropagators(sysb, loads)
     tg = TimeGrid(0.005, 6, 4)
     rows = rng.standard_normal((7, sysb.d1 + sysb.d2))
@@ -125,7 +124,7 @@ def test_sweep_rows_match_fine_interval_bitwise(make_system, channel_pipeline, r
 @SYSTEMS
 def test_coarse_step_solves_coupled_system(make_system):
     sysb = make_system()
-    loads = ConstantLoads(np.full(sysb.d1, 0.1), np.full(sysb.d2, 0.2))
+    loads = (np.full(sysb.d1, 0.1), np.full(sysb.d2, 0.2))
     props = SplitPropagators(sysb, loads)
     dt = 0.02
     state = SplitState(np.full(sysb.d1, 0.7), np.full(sysb.d2, -0.3))
@@ -138,8 +137,8 @@ def test_coarse_step_solves_coupled_system(make_system):
     )
     rhs = np.concatenate(
         [
-            loads.f1 + sysb.M11 @ state.u / dt + sysb.M12 @ state.w / dt - sysb.A12 @ state.w,
-            loads.f2 + sysb.M12.T @ state.u / dt + sysb.M22 @ state.w / dt - sysb.A22 @ state.w,
+            loads[0] + sysb.M11 @ state.u / dt + sysb.M12 @ state.w / dt - sysb.A12 @ state.w,
+            loads[1] + sysb.M12.T @ state.u / dt + sysb.M22 @ state.w / dt - sysb.A22 @ state.w,
         ]
     )
     assert out.shape == (sysb.d1 + sysb.d2,)
@@ -149,7 +148,7 @@ def test_coarse_step_solves_coupled_system(make_system):
 def test_fine_interval_scalar_backward_euler():
     a = 4.0
     sysb = u_only_system(a)
-    props = SplitPropagators(sysb, ConstantLoads(np.zeros(sysb.d1), np.zeros(sysb.d2)))
+    props = SplitPropagators(sysb, (np.zeros(sysb.d1), np.zeros(sysb.d2)))
     m = 8
     dt_int = 0.4
     # level s of the interval is `advance` over s substeps from its start
@@ -164,7 +163,7 @@ def test_fine_interval_scalar_backward_euler():
 def test_fine_interval_scalar_with_source_fixed_point():
     a, f = 5.0, 2.0
     sysb = u_only_system(a)
-    props = SplitPropagators(sysb, ConstantLoads(np.array([f]), np.zeros(0)))
+    props = SplitPropagators(sysb, (np.array([f]), np.zeros(0)))
     state = SplitState(np.array([0.0]), np.zeros(0))
     traj = props.fine_interval(state, 40.0, 400)
     assert np.isclose(traj.final.u[0], f / a, rtol=1e-8)
@@ -173,7 +172,7 @@ def test_fine_interval_scalar_with_source_fixed_point():
 def test_fine_interval_pure_w_explicit_recursion():
     m22, a22, f = 2.0, 3.0, 0.6
     sysb = w_only_system(m22, a22)
-    props = SplitPropagators(sysb, ConstantLoads(np.zeros(0), np.array([f])))
+    props = SplitPropagators(sysb, (np.zeros(0), np.array([f])))
     m = 5
     dt = 0.04
     levels = [props.advance(np.zeros(0), np.array([1.0]), dt, s) for s in range(m + 1)]
@@ -213,7 +212,7 @@ def test_fine_interval_first_order_in_substep(channel_pipeline):
 
 def test_stability_max_step_matches_dense_eigenvalue(channel_pipeline):
     sysb = channel_pipeline.space.system
-    props = SplitPropagators(sysb, ConstantLoads(np.zeros(sysb.d1), np.zeros(sysb.d2)))
+    props = SplitPropagators(sysb, (np.zeros(sysb.d1), np.zeros(sysb.d2)))
     bound = props.stability_max_step()
     lam = sla.eigh(sysb.A22, sysb.M22, eigvals_only=True)[-1]
     assert np.isclose(bound, 2.0 / lam, rtol=1e-6)
@@ -221,7 +220,7 @@ def test_stability_max_step_matches_dense_eigenvalue(channel_pipeline):
 
 def test_stability_bound_is_sharp_for_pure_w():
     sysb = w_only_system(m=1.0, a=10.0)
-    props = SplitPropagators(sysb, ConstantLoads(np.zeros(sysb.d1), np.zeros(sysb.d2)))
+    props = SplitPropagators(sysb, (np.zeros(sysb.d1), np.zeros(sysb.d2)))
     bound = props.stability_max_step()
     assert np.isclose(bound, 0.2, rtol=1e-8)
 
@@ -258,7 +257,7 @@ def test_one_eigh_serves_wr_and_stability_bound(channel_pipeline, monkeypatch):
 
 def test_stability_bound_infinite_without_w():
     sysb = u_only_system()
-    props = SplitPropagators(sysb, ConstantLoads(np.zeros(sysb.d1), np.zeros(sysb.d2)))
+    props = SplitPropagators(sysb, (np.zeros(sysb.d1), np.zeros(sysb.d2)))
     assert props.stability_max_step() == np.inf
 
 

@@ -59,7 +59,7 @@ class TimeMatrixB:
 
     def __post_init__(self):
         if not (self.substeps >= 1 and self.dt > 0):
-            raise ValueError("need substeps >= 1 and dt > 0")
+            raise ValueError(f"need substeps >= 1 and a substep dt > 0, got substeps={self.substeps}, dt={self.dt}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
 

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .allatonce import TimeMatrixB
 from .fem import (
     Channel,
     FineOperators,
@@ -125,11 +126,9 @@ class ExperimentConfig:
 
     def validate(self) -> "ExperimentConfig":
         """Raise ConfigError unless every field is in range. The grid,
-        partition, field, source and time grid check their own inputs, so
-        this builds each and re-raises its error; the rules below are the
-        ones no type owns. The comparisons are written so that NaN fails them."""
-        if not 0 < self.alpha < 1:
-            raise ConfigError(f"alpha must lie in (0,1), got {self.alpha}")
+        partition, field, source and each N's time grid and time matrix check
+        their own inputs, so this builds each and re-raises its error; the
+        rules below are the ones no type owns, written so that NaN fails them."""
         if not 0 <= self.epsilon < math.inf:
             raise ConfigError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if self.fine_kind not in ("all-at-once", "sequential"):
@@ -147,7 +146,8 @@ class ExperimentConfig:
             CoarsePartition(grid, self.blocks, self.layers)
             generate_field(grid, self.background, self.contrast, self.to_channels())
             cells = self.to_source().cell_values(grid)
-            self.time_grid(self.n_values[0])
+            for tg in map(self.time_grid, self.n_values):
+                TimeMatrixB(tg.substeps, tg.dt_sub, self.alpha)
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
         # zero data and a zero load solve to zero, which every check passes

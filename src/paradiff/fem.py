@@ -39,6 +39,11 @@ MASS_REF = np.array(
 ) / 36.0
 
 
+def raster(x0: int, x1: int, y0: int, y1: int, width: int) -> np.ndarray:
+    """Row-major indices y*width + x of the lattice rectangle [x0, x1) x [y0, y1)."""
+    return (np.arange(y0, y1)[:, None] * width + np.arange(x0, x1)).ravel()
+
+
 @dataclass
 class FineGrid:
     """Uniform grid of nx x nx square cells on [0,1]^2.
@@ -56,10 +61,8 @@ class FineGrid:
         if self.nx < 2:
             raise ValueError(f"need nx >= 2 cells per axis for interior nodes, got nx={self.nx}")
         self.h = 1.0 / self.nx
-        i = np.arange(1, self.nx)
-        self.interior = (i[:, None] * (self.nx + 1) + i[None, :]).ravel()
-        cells = np.arange(self.n_cells)
-        n00 = (cells // self.nx) * (self.nx + 1) + cells % self.nx
+        self.interior = raster(1, self.nx, 1, self.nx, self.nx + 1)
+        n00 = raster(0, self.nx, 0, self.nx, self.nx + 1)
         self._connectivity = np.stack(
             [n00, n00 + 1, n00 + self.nx + 2, n00 + self.nx + 1], axis=1
         )

@@ -28,7 +28,7 @@ import scipy.sparse as sp
 from scipy.ndimage import label as nd_label
 from scipy.sparse.linalg import splu
 
-from .fem import FineGrid, FineOperators, PermeabilityField
+from .fem import FineGrid, FineOperators, PermeabilityField, raster
 
 log = logging.getLogger(__name__)
 
@@ -63,40 +63,29 @@ class CoarsePartition:
     def cells_per_block(self) -> int:
         return self.grid.nx // self.nb
 
+    def block_span(self, b: int, rings: int) -> tuple[int, int, int, int]:
+        """Block index rect of b and `rings` rings of blocks around it, half-open, clipped at the domain."""
+        bx, by = b % self.nb, b // self.nb
+        return max(bx - rings, 0), min(bx + rings + 1, self.nb), max(by - rings, 0), min(by + rings + 1, self.nb)
+
     def block_rect(self, b: int) -> tuple[int, int, int, int]:
         """Cell index rect (x0, x1, y0, y1), half-open, of block b."""
-        s = self.cells_per_block
-        bx, by = b % self.nb, b // self.nb
-        return bx * s, (bx + 1) * s, by * s, (by + 1) * s
+        return tuple(self.cells_per_block * v for v in self.block_span(b, 0))
 
     def block_cells(self, b: int) -> np.ndarray:
-        x0, x1, y0, y1 = self.block_rect(b)
-        cx = np.arange(x0, x1)
-        cy = np.arange(y0, y1)
-        return (cy[:, None] * self.grid.nx + cx[None, :]).ravel()
+        return raster(*self.block_rect(b), self.grid.nx)
 
     def patch_rect(self, b: int) -> tuple[int, int, int, int]:
-        s = self.cells_per_block
-        bx, by = b % self.nb, b // self.nb
-        x0 = max(bx - self.layers, 0) * s
-        x1 = min(bx + self.layers + 1, self.nb) * s
-        y0 = max(by - self.layers, 0) * s
-        y1 = min(by + self.layers + 1, self.nb) * s
-        return x0, x1, y0, y1
+        return tuple(self.cells_per_block * v for v in self.block_span(b, self.layers))
 
     def patch_blocks(self, b: int) -> np.ndarray:
         """Blocks fully contained in the oversampled patch, ascending index."""
-        bx, by = b % self.nb, b // self.nb
-        xs = np.arange(max(bx - self.layers, 0), min(bx + self.layers + 1, self.nb))
-        ys = np.arange(max(by - self.layers, 0), min(by + self.layers + 1, self.nb))
-        return (ys[:, None] * self.nb + xs[None, :]).ravel()
+        return raster(*self.block_span(b, self.layers), self.nb)
 
     def patch_interior(self, b: int) -> np.ndarray:
         """Interior numbers of the nodes strictly inside the patch rectangle."""
         x0, x1, y0, y1 = self.patch_rect(b)
-        ix = np.arange(x0, x1 - 1)
-        iy = np.arange(y0, y1 - 1)
-        return (iy[:, None] * (self.grid.nx - 1) + ix[None, :]).ravel()
+        return raster(x0, x1 - 1, y0, y1 - 1, self.grid.nx - 1)
 
 
 def build_coarse_partition(grid: FineGrid, nb: int, layers: int) -> CoarsePartition:

@@ -18,23 +18,38 @@ RUN = """
 import sys
 from dataclasses import replace
 import numpy as np
-from paradiff.experiment import build_pipeline, check_config, run_single
+from paradiff.experiment import build_pipeline, check_config, example1_config, run_single
 
-def history(cfg, kind):
-    pipe = build_pipeline(replace(cfg, fine_kind=kind))
-    return np.array(run_single(pipe, cfg.n_values[0]).run.history)
+def history(pipe, kind):
+    cfg = replace(pipe.config, fine_kind=kind)
+    return np.array(run_single(replace(pipe, config=cfg), cfg.n_values[0]).run.history)
 
-cfg = replace(check_config(), compute_reference=False, export_solution=False)
+off = dict(compute_reference=False, export_solution=False)
+check = build_pipeline(replace(check_config(), **off))
 # 100 w-modes as in example1: at 25 the products are too small for OpenBLAS
 # to thread, and a thread-dependent product would go unseen
-wide = replace(cfg, blocks=10, substeps=96)
+wide = build_pipeline(replace(check.config, blocks=10, substeps=96))
+# example1 as shipped at N = 20: its six coarse blocks, loads, start row and
+# both kinds' histories
+ex1 = build_pipeline(replace(example1_config(), n_values=(20,), **off))
 np.savez(
     sys.argv[1],
-    sequential=history(cfg, "sequential"),
-    all_at_once=history(cfg, "all-at-once"),
+    sequential=history(check, "sequential"),
+    all_at_once=history(check, "all-at-once"),
     wide_sequential=history(wide, "sequential"),
+    **{f"example1_{b}": getattr(ex1.space.system, b) for b in ("M11", "A11", "M12", "A12", "M22", "A22")},
+    example1_f1=ex1.loads[0],
+    example1_f2=ex1.loads[1],
+    example1_initial=ex1.initial,
+    example1_sequential=history(ex1, "sequential"),
+    example1_all_at_once=history(ex1, "all-at-once"),
 )
 """
+
+EXPECTED = {"sequential", "all_at_once", "wide_sequential"} | {
+    f"example1_{name}"
+    for name in ("M11", "A11", "M12", "A12", "M22", "A22", "f1", "f2", "initial", "sequential", "all_at_once")
+}
 
 
 def histories(threads: int, out: Path) -> dict[str, np.ndarray]:
@@ -49,7 +64,7 @@ def histories(threads: int, out: Path) -> dict[str, np.ndarray]:
 def test_histories_bitwise_equal_at_one_and_two_blas_threads(tmp_path):
     one = histories(1, tmp_path / "one.npz")
     two = histories(2, tmp_path / "two.npz")
-    assert one.keys() == two.keys() == {"sequential", "all_at_once", "wide_sequential"}
+    assert one.keys() == two.keys() == EXPECTED
     for kind in one:
         assert one[kind].shape == two[kind].shape, kind
         assert np.array_equal(one[kind], two[kind]), kind

@@ -324,6 +324,20 @@ def test_solve_nonpositive_n_exits_2(tmp_path, capsys, n):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["sequential", "all-at-once"])
+def test_substep_that_rounds_to_zero_exits_2(tmp_path, capsys, kind):
+    """T = 1e-322 leaves the substep T / N^2 at 0.0 for every configured N:
+    a configuration error for both kinds, not a sequential step that divides
+    by it or a time matrix that fails inside the run."""
+    out = tmp_path / "deep" / "out"
+    rc = cli.main(["solve", "--set", "time.t_end=1e-322", "--set", f"parareal.fine_kind={kind}",
+                   "--n", "8", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error: need substeps >= 1 and a substep dt > 0" in err and "dt=0.0" in err
+    assert not (tmp_path / "deep").exists()
+
+
 def test_substep_above_stability_bound_exits_1(tmp_path, capsys):
     rc = cli.main(
         ["run", "--config", config_file(tmp_path), "--set", "time.t_end=10",
